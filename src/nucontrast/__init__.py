@@ -10,7 +10,6 @@ so the loss is not poisoned by unannotated positives.
 from .linalg import (
     DimensionError,
     SvdResult,
-    kernel_backend,
     nuclear_norm,
     nuclear_subgradient,
     svd,

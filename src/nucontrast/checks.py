@@ -213,7 +213,7 @@ def check_nonnegativity(trials: int = 1000, seed: int = 4) -> CheckResult:
 
 
 def check_svd_reconstruction(trials: int = 200, seed: int = 5) -> CheckResult:
-    """Reconstruction and orthonormality of the Jacobi SVD."""
+    """Reconstruction and orthonormality of the SVD."""
     rng = component_rng(seed, "check")
     worst = 0.0
     for _ in range(trials):

@@ -15,7 +15,6 @@ import sys
 from . import checks, data, model, trainer
 from .contrast import CorrectionConfig
 from .data import DatasetFormatError, MissingnessSpec
-from .linalg import kernel_backend
 
 
 class UsageError(Exception):
@@ -110,10 +109,11 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"--mode must be 'keep' or 'single', got {mode!r}")
     if mode == "keep" and not 0.0 < ratio <= 1.0:
         raise UsageError(f"--ratio must be in (0, 1], got {ratio}")
-    if not 0.0 <= noise <= 1.0:
-        raise UsageError(f"--noise must be in [0, 1], got {noise}")
 
-    ds = data.generate_synthetic(n, classes, features, groups, noise, seed)
+    try:
+        ds = data.generate_synthetic(n, classes, features, groups, noise, seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     observed = data.drop_labels(ds.truth, MissingnessSpec(mode, ratio, seed))
     ds = data.Dataset(ds.features, ds.truth, observed)
     data.save_dataset(ds, cfg["out"])
@@ -273,9 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and evaluate contrastive multi-label models "
         "on data with missing labels.",
     )
-    parser.add_argument(
-        "--backend", action="store_true", help="print the active SVD kernel and exit"
-    )
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset file")
@@ -340,9 +337,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "backend", False) and args.command is None:
-        print(kernel_backend())
-        return 0
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2

@@ -1,35 +1,16 @@
-"""Dense linear algebra: one-sided Jacobi SVD, nuclear norm, and the
+"""Dense linear algebra: SVD (LAPACK via numpy), nuclear norm, and the
 truncated subgradient used by the embedding loss.
-
-The Jacobi sweep loop lives in a compiled extension (``_jacobi``) with a
-pure-numpy twin (``_jacobi_py``). The extension is preferred; set
-NUCONTRAST_PURE_PYTHON=1 to force the fallback.
 """
 
 from __future__ import annotations
 
-import os
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
-
-if os.environ.get("NUCONTRAST_PURE_PYTHON"):
-    from . import _jacobi_py as _kernel
-else:
-    try:
-        from . import _jacobi as _kernel
-    except ImportError:
-        from . import _jacobi_py as _kernel
-
-# Convergence for the Jacobi sweeps: |a_p . a_q| relative to ||a_p|| ||a_q||.
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 60
 
 # Default truncation for the nuclear-norm subgradient, as a fraction of the
 # largest singular value (scale invariant).
 DEFAULT_SV_THRESHOLD = 1e-6
-
-_EPS = np.finfo(np.float64).eps
 
 
 class DimensionError(ValueError):
@@ -48,11 +29,6 @@ class SvdResult(NamedTuple):
     v: np.ndarray
 
 
-def kernel_backend() -> str:
-    """Name of the active Jacobi kernel: 'compiled' or 'python'."""
-    return "python" if _kernel.__name__.endswith("_jacobi_py") else "compiled"
-
-
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a C-contiguous float64 2-D array, rejecting non-finite entries."""
     out = np.ascontiguousarray(a, dtype=np.float64)
@@ -63,65 +39,20 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def _svd_impl(a: np.ndarray, kernel) -> SvdResult:
-    transposed = a.shape[0] < a.shape[1]
-    work = np.array(a.T if transposed else a, dtype=np.float64, order="C", copy=True)
-    m, n = work.shape
-    v = np.eye(n)
-    kernel.jacobi_orthogonalize(work, v, JACOBI_TOL, JACOBI_MAX_SWEEPS)
-
-    norms = np.sqrt(np.einsum("ij,ij->j", work, work))
-    order = np.argsort(-norms, kind="stable")
-    s = norms[order]
-    work = work[:, order]
-    v = v[:, order]
-
-    # Columns with negligible norm cannot be normalized; replace them with a
-    # deterministic orthonormal completion so u keeps orthonormal columns.
-    cutoff = s[0] * n * _EPS
-    u = np.zeros((m, n))
-    nonzero = s > cutoff
-    u[:, nonzero] = work[:, nonzero] / s[nonzero]
-    if not nonzero.all():
-        _complete_basis(u, nonzero)
-
-    if transposed:
-        u, v = v, u
-
-    # Deterministic sign: largest-magnitude entry of each u column nonnegative.
-    for j in range(n):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return SvdResult(u, s, v)
-
-
-def _complete_basis(u: np.ndarray, filled: np.ndarray) -> None:
-    """Fill the unfilled columns of ``u`` with orthonormal vectors (in place)."""
-    m = u.shape[0]
-    proj = np.eye(m) - u[:, filled] @ u[:, filled].T
-    for j in np.flatnonzero(~filled):
-        pick = int(np.argmax(np.einsum("ij,ij->j", proj, proj)))
-        col = proj[:, pick].copy()
-        col /= np.linalg.norm(col)
-        # Second orthogonalization pass for numerical safety.
-        col -= u @ (u.T @ col)
-        col /= np.linalg.norm(col)
-        u[:, j] = col
-        proj -= np.outer(col, col @ proj)
-
-
 def svd(a) -> SvdResult:
-    """One-sided Jacobi SVD of a nonempty matrix.
+    """Thin SVD of a nonempty matrix through LAPACK.
 
-    Deterministic for a fixed input: fixed cyclic sweep order, stable sort of
-    the singular values, and a fixed sign convention on the left vectors.
+    Deterministic for a fixed input: the largest-magnitude entry of each u
+    column (the first one on ties) is made nonnegative, and v is flipped to
+    match. Raises numpy.linalg.LinAlgError if LAPACK does not converge.
     """
     a = as_matrix(a)
     if a.size == 0:
         raise DimensionError("svd requires a nonempty matrix")
-    return _svd_impl(a, _kernel)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    pivots = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)]
+    signs = np.where(pivots < 0, -1.0, 1.0)
+    return SvdResult(u * signs, s, vh.T * signs)
 
 
 def nuclear_norm(a) -> float:
@@ -148,36 +79,3 @@ def nuclear_subgradient(a, sv_threshold: float = DEFAULT_SV_THRESHOLD) -> np.nda
     u, s, v = svd(a)
     keep = s > sv_threshold * s[0]
     return u[:, keep] @ v[:, keep].T
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    return as_matrix(a).T.copy()
-
-
-def add(a, b) -> np.ndarray:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def scale(a, alpha: float) -> np.ndarray:
-    return float(alpha) * as_matrix(a)
-
-
-def row_select(a, indices: Sequence[int]) -> np.ndarray:
-    """Rows of ``a`` at ``indices``, preserving the given order."""
-    a = as_matrix(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise DimensionError("row index out of range")
-    return a[idx]

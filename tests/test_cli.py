@@ -1,5 +1,8 @@
 """End-to-end command-line behavior: files, exit codes, determinism."""
 
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,12 +20,29 @@ def test_unknown_flag_rejected(capsys):
     capsys.readouterr()
 
 
-def test_backend_flag(capsys):
-    assert run(["--backend"]) == 0
-    assert capsys.readouterr().out.strip() in ("compiled", "python")
+def readme_simulate_argv():
+    """Arguments of the README's quick-start ``nucontrast simulate`` line, as printed."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for line in text.replace("\\\n", " ").splitlines():
+        if line.startswith("nucontrast simulate "):
+            return shlex.split(line, comments=True)[1:]
+    raise AssertionError("README has no 'nucontrast simulate' line")
 
 
 class TestSimulate:
+    def test_readme_quick_start(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = readme_simulate_argv()
+        assert run(argv) == 0
+        assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+        capsys.readouterr()
+
+    def test_bad_noise_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.txt"
+        assert run(["simulate", "--noise", "5", "--out", str(out)]) == 2
+        assert not out.exists()
+        capsys.readouterr()
+
     def test_single_mode(self, tmp_path, capsys):
         out = tmp_path / "d.txt"
         code = run(
