@@ -120,47 +120,49 @@ def check_contrast_fd(trials: int = 200, seed: int = 1) -> CheckResult:
 
 
 def check_model_fd(trials: int = 20, seed: int = 2) -> CheckResult:
-    """Total-objective parameter gradients vs central finite differences."""
+    """Total-objective parameter gradients vs central finite differences,
+    ``trials`` instances for each output activation."""
     rng = component_rng(seed, "check")
     worst = 0.0
     lam = 1.0
-    for _ in range(trials):
-        while True:
-            params = model.init_params((6, 8, 4), 3, rng)
-            x = rng.normal(size=(4, 6))
-            labels = _labels_with_positive_rows(rng, 4, 3)
-            z, _ = model.embed_forward(params, x)
-            if _contrast_instance_ok(z, labels):
-                break
+    for activation in model.OUTPUT_ACTIVATIONS:
+        for _ in range(trials):
+            while True:
+                params = model.init_params((6, 8, 4), 3, rng, activation)
+                x = rng.normal(size=(4, 6))
+                labels = _labels_with_positive_rows(rng, 4, 3)
+                z, _ = model.embed_forward(params, x)
+                if _contrast_instance_ok(z, labels):
+                    break
 
-        def objective(p):
-            z, _ = model.embed_forward(p, x)
-            logits = model.classify(p, z)
-            return (
-                losses.bce_loss(logits, labels).value
-                + lam * contrast.contrastive_loss(z, labels)
-            )
+            def objective(p):
+                z, _ = model.embed_forward(p, x)
+                logits = model.classify(p, z)
+                return (
+                    losses.bce_loss(logits, labels).value
+                    + lam * contrast.contrastive_loss(z, labels)
+                )
 
-        z, cache = model.embed_forward(params, x)
-        logits = model.classify(params, z)
-        grad_logits = losses.bce_loss(logits, labels).grad_logits
-        grad_z = lam * contrast.contrastive_gradient(z, labels)
-        grads = model.backward(params, cache, grad_logits, grad_z)
+            z, cache = model.embed_forward(params, x)
+            logits = model.classify(params, z)
+            grad_logits = losses.bce_loss(logits, labels).grad_logits
+            grad_z = lam * contrast.contrastive_gradient(z, labels)
+            grads = model.backward(params, cache, grad_logits, grad_z)
 
-        for arr, g in zip(params.arrays(), grads):
-            fd = np.zeros_like(arr)
-            flat = arr.ravel()
-            fd_flat = fd.ravel()
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + FD_STEP
-                hi = objective(params)
-                flat[idx] = orig - FD_STEP
-                lo = objective(params)
-                flat[idx] = orig
-                fd_flat[idx] = (hi - lo) / (2 * FD_STEP)
-            err = np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-6)
-            worst = max(worst, err)
+            for arr, g in zip(params.arrays(), params.views(grads)):
+                fd = np.zeros_like(arr)
+                flat = arr.ravel()
+                fd_flat = fd.ravel()
+                for idx in range(flat.size):
+                    orig = flat[idx]
+                    flat[idx] = orig + FD_STEP
+                    hi = objective(params)
+                    flat[idx] = orig - FD_STEP
+                    lo = objective(params)
+                    flat[idx] = orig
+                    fd_flat[idx] = (hi - lo) / (2 * FD_STEP)
+                err = np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-6)
+                worst = max(worst, err)
     return CheckResult("model_fd", worst < 1e-3, worst, 1e-3)
 
 

@@ -26,14 +26,17 @@ from .linalg import DEFAULT_SV_THRESHOLD, DimensionError
 
 
 def as_label_matrix(labels, name: str = "labels") -> np.ndarray:
-    """Coerce to a 2-D int8 array and require every entry to be -1 or +1."""
+    """Require every entry to be -1 or +1, then copy to a 2-D int8 array.
+
+    The values are checked before the cast, so an entry that only casts to a
+    label (257, 1.7) is rejected.
+    """
     out = np.asarray(labels)
     if out.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={out.ndim}")
-    out = out.astype(np.int8, copy=True)
-    if not np.isin(out, (-1, 1)).all():
+    if not ((out == 1) | (out == -1)).all():
         raise ValueError(f"{name} entries must all be -1 or +1")
-    return out
+    return out.astype(np.int8, copy=True)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,17 @@ choices are smooth, so finite-difference gradient checks stay clean. The
 classifier is a single linear layer producing one logit per class. Gradients
 are exact reverse-mode; the structure loss feeds its gradient in at the
 embedding output, the classification loss at the logits.
+
+Every parameter lives in one contiguous float64 vector, ``ModelParams.flat``,
+in checkpoint order (w0 b0 w1 b1 ... wc bc); the per-layer arrays are views
+into it. ``backward`` writes the gradient into a second vector of that
+layout, and Adam's moments are two more, so an Adam step or an EMA update is
+a handful of whole-vector operations instead of a loop over arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +35,12 @@ class ModelParams:
 
     ``layer_dims`` is (F, H1, ..., D): feature width, hidden widths,
     embedding width. ``weights[i]`` maps layer_dims[i] -> layer_dims[i+1].
+
+    Construction copies the given arrays into ``flat``, one float64 vector in
+    ``arrays()`` order, and rebinds every array field to a view of it. Writes
+    through either side show on the other. ``grad`` is a vector of the same
+    layout that ``backward`` overwrites. Both sets of views are built here,
+    once, so the training step builds none.
     """
 
     layer_dims: tuple[int, ...]
@@ -37,6 +49,20 @@ class ModelParams:
     classifier_weight: np.ndarray  # D x C
     classifier_bias: np.ndarray    # C
     output_activation: str = "linear"
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    grad: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat = np.concatenate(
+            [np.asarray(a, dtype=np.float64).ravel() for a in self.arrays()]
+        )
+        views = self.views(self.flat)
+        n_layers = len(self.weights)
+        self.weights = views[0 : 2 * n_layers : 2]
+        self.biases = views[1 : 2 * n_layers : 2]
+        self.classifier_weight, self.classifier_bias = views[-2:]
+        self.grad = np.zeros_like(self.flat)
+        self._grad_views = self.views(self.grad)
 
     @property
     def n_classes(self) -> int:
@@ -52,13 +78,25 @@ class ModelParams:
         out.append(self.classifier_bias)
         return out
 
+    def views(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Views of ``vec``, a vector with the layout of ``flat``, shaped and
+        ordered like ``arrays()``; e.g. the per-array gradients of ``backward``."""
+        out = []
+        start = 0
+        for a in self.arrays():
+            size = int(np.prod(np.shape(a)))
+            out.append(vec[start : start + size].reshape(np.shape(a)))
+            start += size
+        return out
+
     def copy(self) -> "ModelParams":
+        """A deep copy: its ``flat`` shares no memory with this one's."""
         return ModelParams(
             self.layer_dims,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.classifier_weight.copy(),
-            self.classifier_bias.copy(),
+            self.weights,
+            self.biases,
+            self.classifier_weight,
+            self.classifier_bias,
             self.output_activation,
         )
 
@@ -74,8 +112,10 @@ class ForwardCache:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """First and second moments, vectors with the layout of ``ModelParams.flat``."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
@@ -147,19 +187,24 @@ def backward(
     cache: ForwardCache,
     grad_logits: np.ndarray,
     grad_z: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Exact gradients for every parameter array, in ``params.arrays()`` order.
+) -> np.ndarray:
+    """Exact gradient of every parameter, as a vector with the layout of
+    ``params.flat`` (``params.views`` splits it per array).
 
     ``grad_logits`` is the loss gradient at the logits (flows through the
     classifier into the embedding network); ``grad_z`` is an extra gradient
     injected directly at the embedding output (the structure-loss path, which
     never touches the classifier).
+
+    The vector returned is ``params.grad``, which the next call on the same
+    ``params`` overwrites: copy it to keep it.
     """
     z = cache.activations[-1]
     if grad_logits.shape != (z.shape[0], params.n_classes):
         raise DimensionError("grad_logits shape mismatch")
-    grad_cw = z.T @ grad_logits
-    grad_cb = grad_logits.sum(axis=0)
+    out = params._grad_views
+    np.matmul(z.T, grad_logits, out=out[-2])
+    grad_logits.sum(axis=0, out=out[-1])
 
     g = grad_logits @ params.classifier_weight.T
     if grad_z is not None:
@@ -167,8 +212,6 @@ def backward(
             raise DimensionError("grad_z shape mismatch")
         g = g + grad_z
 
-    grads_w: list[np.ndarray] = [None] * len(params.weights)
-    grads_b: list[np.ndarray] = [None] * len(params.weights)
     last = len(params.weights) - 1
     for i in range(last, -1, -1):
         if i != last:  # undo the tanh
@@ -185,56 +228,55 @@ def backward(
                 # softplus'(h) recovered from the activation: sigmoid(h) = 1 - exp(-a)
                 g = g * -np.expm1(-a)
         prev = cache.x if i == 0 else cache.activations[i - 1]
-        grads_w[i] = prev.T @ g
-        grads_b[i] = g.sum(axis=0)
+        np.matmul(prev.T, g, out=out[2 * i])
+        g.sum(axis=0, out=out[2 * i + 1])
         if i > 0:
             g = g @ params.weights[i].T
-    out = []
-    for gw, gb in zip(grads_w, grads_b):
-        out.append(gw)
-        out.append(gb)
-    out.append(grad_cw)
-    out.append(grad_cb)
-    return out
+    return params.grad
 
 
 def init_adam(params: ModelParams) -> AdamState:
-    arrays = params.arrays()
-    return AdamState(
-        m=[np.zeros_like(a) for a in arrays],
-        v=[np.zeros_like(a) for a in arrays],
-    )
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(
     params: ModelParams,
-    grads: list[np.ndarray],
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place on ``params`` and ``state``."""
+    """One bias-corrected Adam update, in place on ``params`` and ``state``.
+
+    ``grads`` is a vector with the layout of ``params.flat``, as ``backward``
+    returns it.
+    """
+    if np.shape(grads) != params.flat.shape:
+        raise DimensionError(
+            f"grads must be a vector of {params.flat.size} values, got shape {np.shape(grads)}"
+        )
     state.step += 1
     t = state.step
     correction1 = 1.0 - beta1**t
     correction2 = 1.0 - beta2**t
-    for p, g, m, v in zip(params.arrays(), grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * grads * grads
+    params.flat -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
 
 
 def ema_update(ema_params: ModelParams, params: ModelParams, decay: float) -> None:
     """ema <- decay * ema + (1 - decay) * params, elementwise in place."""
     if not 0.0 <= decay < 1.0:
         raise ValueError("decay must be in [0, 1)")
-    for e, p in zip(ema_params.arrays(), params.arrays()):
-        e *= decay
-        e += (1.0 - decay) * p
+    if ema_params.flat.shape != params.flat.shape:
+        raise DimensionError("ema and params have different layouts")
+    ema_params.flat *= decay
+    ema_params.flat += (1.0 - decay) * params.flat
 
 
 def _format_array(name: str, a: np.ndarray) -> str:

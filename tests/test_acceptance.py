@@ -170,7 +170,7 @@ def test_criterion_5_end_to_end_gradients():
         grad_logits = losses.bce_loss(logits, labels).grad_logits
         grad_z = contrast.contrastive_gradient(z, labels)
         grads = model.backward(params, cache, grad_logits, grad_z)
-        for arr, g in zip(params.arrays(), grads):
+        for arr, g in zip(params.arrays(), params.views(grads)):
             flat = arr.ravel()
             fd = np.zeros_like(flat)
             for idx in range(flat.size):

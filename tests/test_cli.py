@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nucontrast import checks, cli, contrast
+from nucontrast import checks, cli, contrast, model
 from nucontrast.cli import run
 
 
@@ -234,6 +234,20 @@ class TestChecks:
             "contrastive_gradient",
             lambda *a, **k: -true_grad(*a, **k),
         )
+        assert run(["gradcheck", "--trials", "5", "--seed", "0"]) == 1
+        assert capsys.readouterr().out.strip().endswith("FAIL")
+
+    @pytest.mark.parametrize("activation", model.OUTPUT_ACTIVATIONS)
+    def test_backward_fault_detected_for_each_activation(
+        self, capsys, monkeypatch, activation
+    ):
+        true_backward = model.backward
+
+        def scaled_for_one_activation(params, *args):
+            grads = true_backward(params, *args)
+            return 1.1 * grads if params.output_activation == activation else grads
+
+        monkeypatch.setattr(checks.model, "backward", scaled_for_one_activation)
         assert run(["gradcheck", "--trials", "5", "--seed", "0"]) == 1
         assert capsys.readouterr().out.strip().endswith("FAIL")
 

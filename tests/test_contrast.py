@@ -243,3 +243,18 @@ def test_label_matrix_validation():
         as_label_matrix(np.array([[0, 1]]))
     with pytest.raises(DimensionError):
         as_label_matrix(np.array([1, -1]))
+
+
+@pytest.mark.parametrize(
+    "values", [[[257, -1]], [[255, 1]], [[1.7, -1]], [[-1.2, 1]]]
+)
+def test_label_matrix_checks_values_before_the_int8_cast(values):
+    # each of these casts to a valid int8 label (1, -1, 1, -1) but is not one
+    with pytest.raises(ValueError, match="entries must all be -1 or \\+1"):
+        as_label_matrix(np.array(values))
+
+
+def test_label_matrix_accepts_float_labels():
+    out = as_label_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert out.dtype == np.int8
+    assert np.array_equal(out, [[1, -1], [-1, 1]])

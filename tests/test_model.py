@@ -104,7 +104,8 @@ class TestBackward:
         x = np.random.default_rng(8).normal(size=(4, 6))
         z, cache = embed_forward(params, x)
         grads = backward(params, cache, np.zeros((4, 3)), np.zeros_like(z))
-        assert all(np.abs(g).max() == 0.0 for g in grads)
+        assert grads.shape == params.flat.shape
+        assert np.abs(grads).max() == 0.0
 
     def test_single_linear_layer_outer_product(self):
         params = ModelParams(
@@ -113,7 +114,7 @@ class TestBackward:
         x = np.array([[1.0, 2.0, 3.0]])
         a = np.array([[0.5, -1.5]])
         _, cache = embed_forward(params, x)
-        grads = backward(params, cache, np.zeros((1, 1)), a)
+        grads = params.views(backward(params, cache, np.zeros((1, 1)), a))
         assert np.allclose(grads[0], x.T @ a)  # dW = x outer a
         assert np.allclose(grads[1], a[0])
 
@@ -140,7 +141,7 @@ class TestBackward:
         grad_z = contrast.contrastive_gradient(z, labels)
         grads = backward(params, cache, grad_logits, grad_z)
         step = 1e-5
-        for arr, g in zip(params.arrays(), grads):
+        for arr, g in zip(params.arrays(), params.views(grads)):
             flat = arr.ravel()
             fd = np.zeros_like(flat)
             for idx in range(flat.size):
@@ -158,10 +159,21 @@ class TestBackward:
         x = np.random.default_rng(10).normal(size=(4, 6))
         z, cache = embed_forward(params, x)
         gl = np.random.default_rng(11).normal(size=(4, 3))
-        with_zero = backward(params, cache, gl, np.zeros_like(z))
+        with_zero = backward(params, cache, gl, np.zeros_like(z)).copy()
         without = backward(params, cache, gl, None)
-        for a, b in zip(with_zero, without):
-            assert np.allclose(a, b)
+        assert np.allclose(with_zero, without)
+
+    def test_writes_params_grad_in_place(self):
+        params = random_params(23)
+        x = np.random.default_rng(23).normal(size=(4, 6))
+        z, cache = embed_forward(params, x)
+        gl = np.random.default_rng(24).normal(size=(4, 3))
+        first = backward(params, cache, gl, None)
+        assert first is params.grad
+        kept = first.copy()
+        second = backward(params, cache, 2.0 * gl, None)
+        assert second is first  # the next call overwrites the same buffer
+        assert np.allclose(second, 2.0 * kept)
 
 
 class TestAdam:
@@ -169,7 +181,7 @@ class TestAdam:
         params = random_params(12)
         before = [a.copy() for a in params.arrays()]
         state = init_adam(params)
-        adam_step(params, [np.zeros_like(a) for a in before], state, lr=0.1)
+        adam_step(params, np.zeros_like(params.flat), state, lr=0.1)
         assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), before))
         assert state.step == 1
 
@@ -180,7 +192,8 @@ class TestAdam:
             (2, 2), [np.full((2, 2), 5.0)], [np.zeros(2)], np.zeros((2, 1)), np.zeros(1)
         )
         before = params.weights[0].copy()
-        grads = [np.full((2, 2), 3.0), np.zeros(2), np.zeros((2, 1)), np.zeros(1)]
+        grads = np.zeros_like(params.flat)
+        params.views(grads)[0][...] = 3.0
         adam_step(params, grads, init_adam(params), lr=1e-3, eps=1e-8)
         delta = before - params.weights[0]
         assert np.allclose(delta, 1e-3, rtol=1e-6)
@@ -192,10 +205,101 @@ class TestAdam:
             state = init_adam(params)
             rng = np.random.default_rng(14)
             for _ in range(5):
-                grads = [rng.normal(size=a.shape) for a in params.arrays()]
-                adam_step(params, grads, state, lr=1e-2)
+                adam_step(params, rng.normal(size=params.flat.shape), state, lr=1e-2)
             results.append([a.copy() for a in params.arrays()])
         assert all(np.array_equal(a, b) for a, b in zip(*results))
+
+
+def reference_adam_step(arrays, grads, m_list, v_list, step, lr, beta1, beta2, eps):
+    """The per-array Adam loop that the flat update replaced, kept as a reference."""
+    correction1 = 1.0 - beta1**step
+    correction2 = 1.0 - beta2**step
+    for p, g, m, v in zip(arrays, grads, m_list, v_list):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
+
+
+def reference_ema_update(ema_arrays, arrays, decay):
+    """The per-array EMA loop that the flat update replaced."""
+    for e, p in zip(ema_arrays, arrays):
+        e *= decay
+        e += (1.0 - decay) * p
+
+
+class TestFlatUpdatesBitExact:
+    @pytest.mark.parametrize("dims, n_classes", [((6, 8, 4), 3), ((5, 9, 7, 3), 4)])
+    @pytest.mark.parametrize("decay", [0.0, 0.9, 0.999])
+    def test_matches_per_array_loops(self, dims, n_classes, decay):
+        params = random_params(30, dims=dims, n_classes=n_classes)
+        ema = random_params(31, dims=dims, n_classes=n_classes)
+        state = init_adam(params)
+        ref_p = [a.copy() for a in params.arrays()]
+        ref_e = [a.copy() for a in ema.arrays()]
+        ref_m = [np.zeros_like(a) for a in ref_p]
+        ref_v = [np.zeros_like(a) for a in ref_p]
+        rng = np.random.default_rng(32)
+        for step in range(1, 7):
+            grads = rng.normal(size=params.flat.shape) * 10.0 ** rng.integers(-3, 2)
+            adam_step(params, grads, state, 1e-2, 0.9, 0.999, 1e-8)
+            ema_update(ema, params, decay)
+            reference_adam_step(
+                ref_p, [g.copy() for g in params.views(grads)], ref_m, ref_v,
+                step, 1e-2, 0.9, 0.999, 1e-8,
+            )
+            reference_ema_update(ref_e, ref_p, decay)
+            for got, want in [
+                (params.arrays(), ref_p),
+                (ema.arrays(), ref_e),
+                (params.views(state.m), ref_m),
+                (params.views(state.v), ref_v),
+            ]:
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert state.step == 6
+
+    def test_rejects_per_array_gradients(self):
+        params = random_params(33)
+        with pytest.raises(DimensionError):
+            adam_step(params, np.zeros(3), init_adam(params), lr=1e-3)
+
+
+class TestLayout:
+    def check_layout(self, params):
+        flat = params.flat
+        assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+        assert flat.size == sum(a.size for a in params.arrays())
+        for a in params.arrays():
+            assert a.base is flat
+        params.flat[0] = 123.5
+        assert params.weights[0][0, 0] == 123.5
+        assert params.grad.shape == flat.shape
+        assert not np.shares_memory(params.grad, flat)
+
+    def test_init_params(self):
+        self.check_layout(init_params((6, 8, 4), 3, component_rng(0, "init")))
+
+    def test_direct_construction_copies_inputs(self):
+        w = np.ones((3, 2))
+        params = ModelParams((3, 2), [w], [np.zeros(2)], np.zeros((2, 4)), np.zeros(4))
+        self.check_layout(params)
+        assert w[0, 0] == 1.0
+
+    def test_copy_shares_no_memory(self):
+        params = random_params(34)
+        dup = params.copy()
+        assert dup.flat.tobytes() == params.flat.tobytes()
+        self.check_layout(dup)
+        assert not np.shares_memory(dup.flat, params.flat)
+        assert dup.flat[0] != params.flat[0]
+
+    def test_load_checkpoint(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, random_params(35), random_params(36))
+        loaded, ema = load_checkpoint(path)
+        self.check_layout(loaded)
+        self.check_layout(ema)
 
 
 class TestEma:

@@ -1,9 +1,13 @@
 """Training loop: objective composition, determinism, ablations, evaluation."""
 
+import math
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from nucontrast import contrast, losses, metrics, model, trainer
+from nucontrast import contrast, linalg, losses, metrics, model, trainer
 from nucontrast.contrast import CorrectionConfig
 from nucontrast.data import Dataset, MissingnessSpec, drop_labels, generate_synthetic
 from nucontrast.model import save_checkpoint
@@ -164,6 +168,58 @@ class TestTrain:
             TrainConfig(loss_kind="hinge")
         with pytest.raises(ValueError):
             TrainConfig(output_activation="relu")
+
+
+class TestTracedEntryPoints:
+    """The step calls each public entry point that a tracer wraps through its
+    module attribute, so wrapping the attribute sees every call."""
+
+    TRACED = (
+        (contrast, "contrastive_loss_and_gradient"),
+        (linalg, "svd"),
+        (losses, "bce_loss"),
+        (contrast, "effective_labels"),
+        (model, "backward"),
+        (model, "adam_step"),
+        (model, "ema_update"),
+    )
+
+    def install(self, monkeypatch, counts, on_call):
+        """Replace each traced function wherever a nucontrast module holds it."""
+        modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "nucontrast"]
+        for home, name in self.TRACED:
+            original = getattr(home, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                on_call(_name, args)
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapper)
+
+    def test_one_call_each_per_step_and_svd_per_class(self, monkeypatch):
+        ds = small_dataset()
+        cfg = small_config(epochs=2, batch_size=2, ema_decay=0.99)
+        counts = Counter()
+        expected_svd = []
+
+        def on_call(name, args):
+            if name == "contrastive_loss_and_gradient":
+                labels = np.asarray(args[1])
+                expected_svd.append(int((labels == 1).any(axis=0).sum()) + 1)
+
+        self.install(monkeypatch, counts, on_call)
+        train(ds, cfg)
+        n_train = ds.n_samples - round(ds.n_samples * cfg.val_fraction)
+        steps = math.ceil(n_train / cfg.batch_size) * cfg.epochs
+        for _, name in self.TRACED:
+            if name != "svd":
+                assert counts[name] == steps, name
+        assert len(expected_svd) == steps
+        assert counts["svd"] == sum(expected_svd)
 
 
 class TestEvaluate:
