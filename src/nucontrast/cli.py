@@ -15,6 +15,7 @@ import sys
 from . import checks, data, model, trainer
 from .contrast import CorrectionConfig
 from .data import DatasetFormatError, MissingnessSpec
+from .fileio import atomic_write
 
 
 class UsageError(Exception):
@@ -105,16 +106,12 @@ def cmd_simulate(args) -> int:
     mode = str(cfg["mode"])
     ratio = _float(cfg["ratio"], "--ratio")
     seed = int(_float(cfg["seed"], "--seed"))
-    if mode not in ("keep", "single"):
-        raise UsageError(f"--mode must be 'keep' or 'single', got {mode!r}")
-    if mode == "keep" and not 0.0 < ratio <= 1.0:
-        raise UsageError(f"--ratio must be in (0, 1], got {ratio}")
-
     try:
+        spec = MissingnessSpec(mode, ratio, seed)
         ds = data.generate_synthetic(n, classes, features, groups, noise, seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    observed = data.drop_labels(ds.truth, MissingnessSpec(mode, ratio, seed))
+    observed = data.drop_labels(ds.truth, spec)
     ds = data.Dataset(ds.features, ds.truth, observed)
     data.save_dataset(ds, cfg["out"])
     kept = float((observed == 1).sum() / (ds.truth == 1).sum())
@@ -206,7 +203,7 @@ def cmd_train(args) -> int:
     ds = data.load_dataset(cfg["data"])
     trained, history = trainer.train(ds, train_cfg)
     model.save_checkpoint(cfg["out"], trained.params, trained.ema_params)
-    with open(cfg["history"], "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(cfg["history"]) as fh:
         fh.write(history.to_text())
     last = history.epochs[-1]
     if last.val_report is not None:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import atomic_write
 from .linalg import DimensionError
 
 
@@ -280,7 +281,7 @@ def ema_update(ema_params: ModelParams, params: ModelParams, decay: float) -> No
 
 
 def _format_array(name: str, a: np.ndarray) -> str:
-    return name + " " + " ".join(repr(float(x)) for x in a.ravel())
+    return name + " " + " ".join(map(repr, a.ravel().tolist()))
 
 
 def checkpoint_text(params: ModelParams, ema_params: ModelParams | None = None) -> str:
@@ -303,7 +304,7 @@ def checkpoint_text(params: ModelParams, ema_params: ModelParams | None = None) 
 
 
 def save_checkpoint(path, params: ModelParams, ema_params: ModelParams | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(checkpoint_text(params, ema_params))
 
 
@@ -324,7 +325,12 @@ def _parse_array(line: str, expected_name: str, shape: tuple[int, ...]) -> np.nd
         raise ValueError(
             f"checkpoint: array {expected_name!r} needs {n} values, got {len(fields) - 1}"
         )
-    return np.array([float(f) for f in fields[1:]]).reshape(shape)
+    try:
+        values = np.array(fields[1:], dtype=np.float64)
+    except ValueError:
+        # float() raises the ValueError that names the bad token
+        values = np.array([float(f) for f in fields[1:]])
+    return values.reshape(shape)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelParams | None]:

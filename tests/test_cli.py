@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nucontrast import checks, cli, contrast, model
+from nucontrast import checks, cli, contrast, model, trainer
 from nucontrast.cli import run
 
 
@@ -70,6 +70,20 @@ class TestSimulate:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [("mode = drop", "got 'drop'"), ("ratio = 0", "got 0.0"), ("mode = keep\nratio = 2", "got 2.0")],
+    )
+    def test_bad_spec_in_config_is_usage_error(self, tmp_path, capsys, lines, message):
+        # argparse choices do not see config values; MissingnessSpec does
+        config = tmp_path / "sim.cfg"
+        config.write_text(lines + "\n")
+        out = tmp_path / "d.txt"
+        assert run(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         flags = "simulate --mode single --n 50 --classes 5 --features 6 --seed 3".split()
@@ -127,6 +141,22 @@ class TestTrain:
                     "--history", str(tmp_path / "hb.txt")] + flags) == 0
         assert a.read_bytes() == b.read_bytes()
         capsys.readouterr()
+
+    def test_failed_history_write_keeps_old_file(self, tmp_path, dataset_file, capsys, monkeypatch):
+        hist = tmp_path / "hist.txt"
+        argv = ["train", "--data", str(dataset_file), "--out", str(tmp_path / "m.txt"),
+                "--history", str(hist), "--epochs", "1", "--batch-size", "16"]
+        assert run(argv) == 0
+        old = hist.read_bytes()
+
+        def fail(self):
+            raise RuntimeError("rendering failed")
+
+        monkeypatch.setattr(trainer.TrainHistory, "to_text", fail)
+        assert run(argv) == 1
+        assert "rendering failed" in capsys.readouterr().err
+        assert hist.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.txt", "hist.txt", "m.txt"]
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = run(["train", "--data", str(tmp_path / "nope.txt")])

@@ -1,0 +1,375 @@
+"""Dataset and checkpoint text I/O: pinned bytes, bit-exact round trips, the
+numpy fast path against the per-line parser, memory, and atomic writes."""
+
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from nucontrast import data, model
+from nucontrast.data import (
+    Dataset,
+    DatasetFormatError,
+    MissingnessSpec,
+    drop_labels,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+)
+from nucontrast.fileio import atomic_write
+from nucontrast.model import checkpoint_text, init_params, load_checkpoint, save_checkpoint
+from nucontrast.seeding import component_rng
+
+EDGE_VALUES = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,
+    -2.2250738585072014e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1e16,
+    -1e16,
+]
+
+
+def random_finite(rng, size):
+    """Finite float64 values from uniformly random bit patterns, edge values first."""
+    bits = rng.integers(0, 2**64, size=4 * size, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    values = np.concatenate([EDGE_VALUES, values[np.isfinite(values)]])
+    return values[:size]
+
+
+def reference_parse_labels(fields, lineno, n_classes):
+    if len(fields) != n_classes:
+        raise DatasetFormatError(
+            f"line {lineno}: expected {n_classes} labels, got {len(fields)}"
+        )
+    out = []
+    for f in fields:
+        try:
+            value = int(f)
+        except ValueError:
+            raise DatasetFormatError(f"line {lineno}: bad label {f!r}") from None
+        if value not in (-1, 1):
+            raise DatasetFormatError(f"line {lineno}: label must be -1 or 1, got {value}")
+        out.append(value)
+    return out
+
+
+def reference_load_dataset(path):
+    """The per-line loader that the numpy parse replaced, kept as a reference."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise DatasetFormatError("line 1: empty file")
+    head = lines[0].split()
+    try:
+        n, c, f = (int(x) for x in head)
+    except ValueError:
+        raise DatasetFormatError("line 1: header must be 'N C F'") from None
+    if len(head) != 3 or min(n, c, f) < 1:
+        raise DatasetFormatError("line 1: header must be three positive ints 'N C F'")
+    if len(lines) != 1 + 3 * n:
+        raise DatasetFormatError(
+            f"expected {1 + 3 * n} lines for N={n}, found {len(lines)}"
+        )
+
+    features = np.empty((n, f))
+    for i in range(n):
+        fields = lines[1 + i].split()
+        if len(fields) != f:
+            raise DatasetFormatError(
+                f"line {2 + i}: expected {f} features, got {len(fields)}"
+            )
+        try:
+            features[i] = [float(x) for x in fields]
+        except ValueError:
+            raise DatasetFormatError(f"line {2 + i}: bad feature value") from None
+
+    truth = np.array(
+        [reference_parse_labels(lines[1 + n + i].split(), 2 + n + i, c) for i in range(n)],
+        dtype=np.int8,
+    )
+    observed = np.array(
+        [reference_parse_labels(lines[1 + 2 * n + i].split(), 2 + 2 * n + i, c)
+         for i in range(n)],
+        dtype=np.int8,
+    )
+    try:
+        return Dataset(features, truth, observed)
+    except ValueError as exc:
+        raise DatasetFormatError(str(exc)) from None
+
+
+def outcome(loader, path):
+    try:
+        ds = loader(path)
+    except Exception as exc:  # compared by type and message
+        return ("raised", type(exc), str(exc))
+    return ("loaded",) + tuple(
+        (a.dtype.str, a.shape, a.tobytes()) for a in (ds.features, ds.truth, ds.observed)
+    )
+
+
+class TestGoldenBytes:
+    def test_dataset(self, tmp_path):
+        ds = generate_synthetic(500, 10, 32, 6, 3.0, 7)
+        observed = drop_labels(ds.truth, MissingnessSpec("single", seed=7))
+        path = tmp_path / "ds.txt"
+        save_dataset(Dataset(ds.features, ds.truth, observed), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "af0ba3edfa83051a8c474d8fa4e853d806eda0ef6183af5c8b4aabe1e7c162d3"
+
+    def test_checkpoint(self, tmp_path):
+        params = init_params((32, 64, 16), 10, component_rng(7, "init"), "softplus")
+        text = checkpoint_text(params, params.copy())
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "f8615d33f8ce638adedb93759e665dbaa4f20588f09e98ed9e6c90a350f7cbca"
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, params, params.copy())
+        assert path.read_bytes() == text.encode()
+
+
+class TestRoundTripBitExact:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dataset(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n, c, f = 300, 5, 7
+        features = random_finite(rng, n * f).reshape(n, f)
+        truth = np.where(rng.random((n, c)) < 0.5, 1, -1).astype(np.int8)
+        truth[:, 0] = 1
+        observed = np.where((truth == 1) & (rng.random((n, c)) < 0.5), 1, -1).astype(np.int8)
+        path = tmp_path / "ds.txt"
+        save_dataset(Dataset(features, truth, observed), path)
+        loaded = load_dataset(path)
+        assert loaded.features.tobytes() == features.tobytes()
+        assert loaded.truth.tobytes() == truth.tobytes()
+        assert loaded.observed.tobytes() == observed.tobytes()
+        assert outcome(reference_load_dataset, path) == outcome(load_dataset, path)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_checkpoint(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        params = init_params((6, 9, 4), 3, component_rng(seed, "init"), "softplus")
+        ema = params.copy()
+        params.flat[:] = random_finite(rng, params.flat.size)
+        ema.flat[:] = random_finite(rng, ema.flat.size)[::-1]
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, params, ema)
+        loaded, loaded_ema = load_checkpoint(path)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert loaded_ema.flat.tobytes() == ema.flat.tobytes()
+
+
+def dataset_text(features, truth, observed, header=None, newline="\n", final_newline=True):
+    n, f = len(features), len(features[0].split())
+    lines = [header or f"{n} {len(truth[0].split())} {f}"] + features + truth + observed
+    return newline.join(lines) + (newline if final_newline else "")
+
+
+GOOD = dict(
+    features=["0.5 -1.25 3.0", "1e-3 2.5 -0.75"],
+    truth=["1 -1", "1 1"],
+    observed=["1 -1", "-1 1"],
+)
+
+
+def variant(features=None, truth=None, observed=None, **layout):
+    """GOOD with at most one line replaced per block, given as (index, text)."""
+    parts = []
+    for name, change in (("features", features), ("truth", truth), ("observed", observed)):
+        block = list(GOOD[name])
+        if change is not None:
+            block[change[0]] = change[1]
+        parts.append(block)
+    return dataset_text(*parts, **layout)
+
+
+ODD_FILES = {
+    "good": variant(),
+    "underscore": variant(features=(1, "1_0 2.5 -0.75")),
+    "plus sign": variant(features=(0, "+1 -1.25 3.0")),
+    "full-width digit": variant(features=(0, "\uff11.5 -1.25 3.0")),
+    "arabic-indic digit": variant(features=(1, "1e-3 \u0662.5 -0.75")),
+    "nan": variant(features=(0, "nan -1.25 3.0")),
+    "inf": variant(features=(1, "1e-3 inf -0.75")),
+    "overflow to inf": variant(features=(1, "1e-3 1e400 -0.75")),
+    "underflow to zero": variant(features=(1, "1e-3 1e-400 -0.75")),
+    "hex": variant(features=(0, "0x10 -1.25 3.0")),
+    "comma decimal": variant(features=(0, "0,5 -1.25 3.0")),
+    "comment sign": variant(features=(0, "0.5 #1 3.0")),
+    "nbsp separator": variant(features=(0, "0.5\xa0-1.25 3.0")),
+    "fs separator": variant(features=(0, "0.5\x1c-1.25 3.0")),
+    "zero-width space": variant(features=(0, "0.5\u200b -1.25 3.0")),
+    "tabs and padding": variant(features=(1, "\t1e-3\t 2.5   -0.75  ")),
+    "crlf": variant(newline="\r\n"),
+    "cr": variant(newline="\r"),
+    "no final newline": variant(final_newline=False),
+    "blank feature line": variant(features=(1, "")),
+    "whitespace feature line": variant(features=(0, "   ")),
+    "blank line inserted": dataset_text(
+        ["0.5 -1.25 3.0", "", "1e-3 2.5 -0.75"], GOOD["truth"], GOOD["observed"],
+        header="2 2 3",
+    ),
+    "short feature row": variant(features=(1, "1e-3 2.5")),
+    "long feature row": variant(features=(0, "0.5 -1.25 3.0 4.0")),
+    "label +1": variant(truth=(0, "+1 -1")),
+    "label 01": variant(truth=(1, "01 1")),
+    "label 1.0": variant(observed=(1, "-1 1.0")),
+    "label 257": variant(truth=(0, "257 -1")),
+    "label 0": variant(truth=(0, "1 0")),
+    "label count": variant(observed=(0, "1 -1 -1")),
+    "repeated bad label": dataset_text(
+        GOOD["features"], ["1 x", "1 x"], ["1 x", "1 x"], header="2 2 3"
+    ),
+    "observed not subset": variant(observed=(0, "1 1")),
+    "truth without positive": variant(truth=(1, "-1 -1"), observed=(1, "-1 -1")),
+    "too few lines": "2 2 3\n0.5 -1.25 3.0\n1 -1\n",
+    "too many lines": variant() + "1 -1\n",
+    "bad header": variant(header="2 x 3"),
+    "zero header": variant(header="0 2 3"),
+    "empty": "",
+}
+
+
+class TestFallbackEquivalence:
+    @pytest.mark.parametrize("name", sorted(ODD_FILES))
+    def test_same_result_as_per_line_loader(self, tmp_path, name):
+        path = tmp_path / "odd.txt"
+        path.write_bytes(ODD_FILES[name].encode("utf-8"))
+        assert outcome(load_dataset, path) == outcome(reference_load_dataset, path)
+
+    def test_fallback_still_names_line(self, tmp_path):
+        path = tmp_path / "odd.txt"
+        path.write_text(variant(features=(1, "1e-3 oops -0.75")))
+        with pytest.raises(DatasetFormatError, match="line 3: bad feature value"):
+            load_dataset(path)
+
+    def test_fallback_reads_what_float_reads(self, tmp_path):
+        path = tmp_path / "odd.txt"
+        path.write_text(variant(features=(1, "1_0 \uff12.5 -0.75")), encoding="utf-8")
+        assert load_dataset(path).features[1].tolist() == [10.0, 2.5, -0.75]
+
+    def test_large_file_same_as_per_line_loader(self, tmp_path):
+        ds = generate_synthetic(3000, 10, 16, 6, 2.0, 12)
+        observed = drop_labels(ds.truth, MissingnessSpec("keep", 0.5, seed=12))
+        path = tmp_path / "ds.txt"
+        save_dataset(Dataset(ds.features, ds.truth, observed), path)
+        assert outcome(load_dataset, path) == outcome(reference_load_dataset, path)
+
+
+class TestCheckpointParse:
+    def corrupt(self, tmp_path, token):
+        params = init_params((3, 2), 2, component_rng(0, "init"), "linear")
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, params)
+        lines = path.read_text().splitlines()
+        lines[3] = "w0 " + " ".join([token] + ["0.5"] * 5)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_bad_value_message_is_float_message(self, tmp_path):
+        path = self.corrupt(tmp_path, "0.5x")
+        with pytest.raises(ValueError) as caught:
+            load_checkpoint(path)
+        with pytest.raises(ValueError) as expected:
+            float("0.5x")
+        assert str(caught.value) == str(expected.value)
+
+    @pytest.mark.parametrize("token, value", [("1_0", 10.0), ("\uff11.5", 1.5), ("+2", 2.0)])
+    def test_reads_what_float_reads(self, tmp_path, token, value):
+        params, _ = load_checkpoint(self.corrupt(tmp_path, token))
+        assert params.weights[0][0, 0] == value
+
+
+class TestSaveMemory:
+    def test_peak_stays_small(self, tmp_path):
+        """Formatting converts a bounded number of rows at a time. Converting
+        the whole 10,000 x 32 matrix with tolist() peaks near 10 MB."""
+        ds = generate_synthetic(10_000, 10, 32, 6, 1.0, 13)
+        path = tmp_path / "ds.txt"
+        tracemalloc.start()
+        try:
+            save_dataset(ds, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class Exploding(float):
+    """A value whose formatting fails, after recording the files beside it."""
+
+    def __new__(cls, value, directory, seen):
+        out = super().__new__(cls, value)
+        out.directory, out.seen = directory, seen
+        return out
+
+    def __repr__(self):
+        self.seen.extend((p.name, p.stat().st_size) for p in self.directory.iterdir())
+        raise RuntimeError("formatting failed")
+
+    __float__ = __repr__
+
+
+class TestAtomicWrites:
+    def test_helper_keeps_old_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("new, half written")
+                fh.flush()
+                raise RuntimeError("crash")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_helper_replaces_on_success(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old\n")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_save_dataset_failing_halfway(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        ds = generate_synthetic(3000, 4, 3, 2, 0.5, 14)
+        save_dataset(ds, path)
+        old = path.read_bytes()
+        seen = []
+        features = ds.features.astype(object)
+        features[2500, 1] = Exploding(features[2500, 1], tmp_path, seen)
+        ds.features = features
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            save_dataset(ds, path)
+        # the failure came after rows had been written to a temporary file
+        partial = [size for name, size in seen if name != "ds.txt"]
+        assert len(partial) == 1 and partial[0] > 0
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.txt"]
+
+    def test_save_checkpoint_failing(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.txt"
+        params = init_params((3, 2), 2, component_rng(0, "init"), "linear")
+        save_checkpoint(path, params)
+        old = path.read_bytes()
+
+        def fail(*args):
+            raise RuntimeError("rendering failed")
+
+        monkeypatch.setattr(model, "checkpoint_text", fail)
+        with pytest.raises(RuntimeError):
+            save_checkpoint(path, params)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.txt"]
+
+    def test_missing_directory(self, tmp_path):
+        ds = generate_synthetic(5, 3, 2, 2, 0.5, 15)
+        with pytest.raises(OSError):
+            save_dataset(ds, tmp_path / "nope" / "ds.txt")
+        assert list(tmp_path.iterdir()) == []
