@@ -16,7 +16,6 @@ from .linalg import (
 )
 from .contrast import (
     CorrectionConfig,
-    class_submatrix,
     contrastive_gradient,
     contrastive_loss,
     correct_labels,
@@ -34,6 +33,6 @@ from .data import (
     save_dataset,
 )
 from .metrics import MetricsReport, average_precision, report
-from .trainer import TrainConfig, TrainHistory, TrainedModel, evaluate, total_loss, train
+from .trainer import TrainConfig, TrainHistory, TrainedModel, evaluate, train
 
 __version__ = "0.1.0"

@@ -143,19 +143,8 @@ TRAIN_DEFAULTS = {
 
 
 def _train_config(cfg) -> trainer.TrainConfig:
-    loss = str(cfg["loss"])
-    if loss not in ("bce", "focal"):
-        raise UsageError(f"--loss must be 'bce' or 'focal', got {loss!r}")
-    lambda_ = _float(cfg["lambda_"], "--lambda")
-    if lambda_ < 0:
-        raise UsageError(f"--lambda must be >= 0, got {lambda_}")
-    delta = _float(cfg["delta"], "--delta")
-    if not 0.0 < delta < 1.0:
-        raise UsageError(f"--delta must be in (0, 1), got {delta}")
+    """Parse the merged values; TrainConfig and CorrectionConfig check their ranges."""
     ema = str(cfg["ema_decay"]).strip()
-    ema_decay = None if ema == "" else _float(ema, "--ema-decay")
-    if ema_decay is not None and not 0.0 <= ema_decay < 1.0:
-        raise UsageError(f"--ema-decay must be in [0, 1), got {ema_decay}")
     dims_text = str(cfg["dims"]).strip()
     layer_dims = None
     if dims_text:
@@ -163,33 +152,25 @@ def _train_config(cfg) -> trainer.TrainConfig:
             layer_dims = tuple(int(d) for d in dims_text.replace(",", " ").split())
         except ValueError:
             raise UsageError(f"--dims must be a comma list of ints, got {dims_text!r}") from None
-    val_fraction = _float(cfg["val_fraction"], "--val-fraction")
-    if not 0.0 <= val_fraction < 1.0:
-        raise UsageError(f"--val-fraction must be in [0, 1), got {val_fraction}")
-    activation = str(cfg["activation"])
-    if activation not in model.OUTPUT_ACTIVATIONS:
-        raise UsageError(
-            f"--activation must be one of {model.OUTPUT_ACTIVATIONS}, got {activation!r}"
-        )
     try:
         return trainer.TrainConfig(
-            lambda_=lambda_,
+            lambda_=_float(cfg["lambda_"], "--lambda"),
             use_contrast=not _bool(cfg["no_contrast"], "--no-contrast"),
             correction=CorrectionConfig(
-                threshold=delta,
+                threshold=_float(cfg["delta"], "--delta"),
                 start_epoch=_positive_int(cfg["start_epoch"], "--start-epoch"),
             ),
             sv_threshold=_float(cfg["sv_threshold"], "--sv-threshold"),
-            loss_kind=loss,
+            loss_kind=str(cfg["loss"]),
             focal_gamma=_float(cfg["gamma"], "--gamma"),
             lr=_float(cfg["lr"], "--lr"),
             epochs=_positive_int(cfg["epochs"], "--epochs"),
             batch_size=_positive_int(cfg["batch_size"], "--batch-size"),
             seed=int(_float(cfg["seed"], "--seed")),
-            ema_decay=ema_decay,
+            ema_decay=None if ema == "" else _float(ema, "--ema-decay"),
             layer_dims=layer_dims,
-            output_activation=activation,
-            val_fraction=val_fraction,
+            output_activation=str(cfg["activation"]),
+            val_fraction=_float(cfg["val_fraction"], "--val-fraction"),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -53,36 +53,29 @@ class CorrectionConfig:
 
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
-            raise ValueError("correction threshold must be in (0, 1)")
+            raise ValueError(
+                f"correction threshold must be in (0, 1), got {self.threshold!r}"
+            )
         if self.start_epoch < 1:
-            raise ValueError("start_epoch must be >= 1")
+            raise ValueError(f"start_epoch must be >= 1, got {self.start_epoch!r}")
 
 
 def _check_pair(z, labels):
+    """Validated embedding and the boolean mask of positive label slots."""
     z = linalg.as_matrix(z, "embedding")
     labels = as_label_matrix(labels)
     if labels.shape[0] != z.shape[0]:
         raise DimensionError(
             f"embedding has {z.shape[0]} rows but labels has {labels.shape[0]}"
         )
-    if not (labels == 1).any(axis=1).all():
+    pos = labels == 1
+    if not pos.any(axis=1).all():
         warnings.warn(
             "some rows have no positive label; loss nonnegativity is not "
             "guaranteed for them",
             stacklevel=4,
         )
-    return z, labels
-
-
-def class_submatrix(z, labels, class_index: int) -> np.ndarray:
-    """Rows of ``z`` whose label for ``class_index`` is +1, original order."""
-    z = linalg.as_matrix(z, "embedding")
-    labels = as_label_matrix(labels)
-    if labels.shape[0] != z.shape[0]:
-        raise DimensionError("embedding and labels row counts differ")
-    if not 0 <= class_index < labels.shape[1]:
-        raise IndexError(f"class index {class_index} out of range")
-    return z[labels[:, class_index] == 1]
+    return z, pos
 
 
 def contrastive_loss(z, labels) -> float:
@@ -110,24 +103,24 @@ def contrastive_loss_and_gradient(
 
 
 def _loss_and_optional_gradient(z, labels, sv_threshold):
-    z, labels = _check_pair(z, labels)
+    z, pos = _check_pair(z, labels)
     want_grad = sv_threshold is not None
     if want_grad and not sv_threshold > 0:
         raise ValueError("sv_threshold must be positive")
 
     value = 0.0
     grad = np.zeros_like(z) if want_grad else None
-    # Fixed ascending-class accumulation order keeps results bit-stable.
-    for k in range(labels.shape[1]):
-        rows = np.flatnonzero(labels[:, k] == 1)
-        if rows.size == 0:
-            continue  # empty positive set contributes nothing
+    # Fixed ascending-class accumulation order keeps results bit-stable;
+    # classes without a positive row contribute nothing and are skipped.
+    for k in np.flatnonzero(pos.any(axis=0)):
+        rows = pos[:, k]
         sub = z[rows]
         if want_grad:
             u, s, v = linalg.svd(sub)
             value += float(s.sum())
-            keep = s > sv_threshold * s[0]
-            grad[rows] += u[:, keep] @ v[:, keep].T
+            # s is nonincreasing, so the kept singular vectors are a prefix
+            r = np.count_nonzero(s > sv_threshold * s[0])
+            grad[rows] += u[:, :r] @ v[:, :r].T
         else:
             value += linalg.nuclear_norm(sub)
     if z.size == 0:
@@ -135,8 +128,8 @@ def _loss_and_optional_gradient(z, labels, sv_threshold):
     if want_grad:
         u, s, v = linalg.svd(z)
         value -= float(s.sum())
-        keep = s > sv_threshold * s[0]
-        grad -= u[:, keep] @ v[:, keep].T
+        r = np.count_nonzero(s > sv_threshold * s[0])
+        grad -= u[:, :r] @ v[:, :r].T
     else:
         value -= linalg.nuclear_norm(z)
     return value, grad

@@ -4,6 +4,7 @@ truncated subgradient used by the embedding loss.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +41,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def svd(a) -> SvdResult:
-    """Thin SVD of a nonempty matrix through LAPACK.
+    """Thin SVD of a nonempty matrix.
+
+    A one-row matrix takes the exact closed form s = [||a||], u = [[1]],
+    v = a.T / ||a||, with the norm from ``math.hypot`` (no overflow or
+    underflow); a zero row gives s = [0] and v = e1, as LAPACK does. Any
+    other matrix goes through LAPACK.
 
     Deterministic for a fixed input: the largest-magnitude entry of each u
     column (the first one on ties) is made nonnegative, and v is flipped to
@@ -49,10 +55,20 @@ def svd(a) -> SvdResult:
     a = as_matrix(a)
     if a.size == 0:
         raise DimensionError("svd requires a nonempty matrix")
+    if a.shape[0] == 1:
+        norm = math.hypot(*a[0].tolist())
+        if norm:
+            v = a.T / norm
+        else:
+            v = np.zeros((a.shape[1], 1))
+            v[0, 0] = 1.0
+        return SvdResult(np.ones((1, 1)), np.array([norm]), v)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    pivots = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)]
-    signs = np.where(pivots < 0, -1.0, 1.0)
-    return SvdResult(u * signs, s, vh.T * signs)
+    signs = np.copysign(1.0, u[np.argmax(np.abs(u), axis=0), np.arange(s.size)])
+    u *= signs
+    v = vh.T
+    v *= signs
+    return SvdResult(u, s, v)
 
 
 def nuclear_norm(a) -> float:
@@ -77,5 +93,5 @@ def nuclear_subgradient(a, sv_threshold: float = DEFAULT_SV_THRESHOLD) -> np.nda
     if a.size == 0:
         return np.zeros_like(a)
     u, s, v = svd(a)
-    keep = s > sv_threshold * s[0]
-    return u[:, keep] @ v[:, keep].T
+    r = np.count_nonzero(s > sv_threshold * s[0])  # s is nonincreasing
+    return u[:, :r] @ v[:, :r].T

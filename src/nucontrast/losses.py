@@ -23,14 +23,15 @@ class LossOutput:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable elementwise logistic function."""
+    """Numerically stable elementwise logistic function.
+
+    exp only ever sees -|x|, so it cannot overflow: 1 / (1 + e^-x) for
+    x >= 0 and e^x / (1 + e^x) below. ``minimum(x, -x)`` rather than
+    ``-abs(x)`` passes a NaN through with its sign bit unchanged.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:

@@ -47,21 +47,22 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.lambda_ < 0:
-            raise ValueError("lambda_ must be >= 0")
+        if not self.lambda_ >= 0:
+            raise ValueError(f"lambda_ must be >= 0, got {self.lambda_!r}")
         if self.loss_kind not in ("bce", "focal"):
-            raise ValueError("loss_kind must be 'bce' or 'focal'")
+            raise ValueError(f"loss_kind must be 'bce' or 'focal', got {self.loss_kind!r}")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
         if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size!r}")
         if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in [0, 1)")
+            raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
         if self.ema_decay is not None and not 0.0 <= self.ema_decay < 1.0:
-            raise ValueError("ema_decay must be in [0, 1)")
+            raise ValueError(f"ema_decay must be in [0, 1), got {self.ema_decay!r}")
         if self.output_activation not in model.OUTPUT_ACTIVATIONS:
             raise ValueError(
-                f"output_activation must be one of {model.OUTPUT_ACTIVATIONS}"
+                f"output_activation must be one of {model.OUTPUT_ACTIVATIONS}, "
+                f"got {self.output_activation!r}"
             )
 
     def contrast_active(self) -> bool:
@@ -118,16 +119,6 @@ def _batch_terms(logits, z, effective, cfg: TrainConfig):
         z, effective, cfg.sv_threshold
     )
     return out.value, c_value, out.grad_logits, cfg.lambda_ * c_grad
-
-
-def total_loss(logits, z, effective, cfg: TrainConfig):
-    """Total objective value and its gradients at the logits and embedding.
-
-    Returns (value, grad_logits, grad_z); grad_z is None when the structure
-    loss is disabled (weight 0 or switched off).
-    """
-    cls_value, c_value, grad_logits, grad_z = _batch_terms(logits, z, effective, cfg)
-    return cls_value + cfg.lambda_ * c_value, grad_logits, grad_z
 
 
 def split_dataset(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset | None]:

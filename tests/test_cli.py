@@ -184,6 +184,33 @@ class TestTrain:
         assert code == 2
         capsys.readouterr()
 
+    BAD_VALUES = [
+        # (config key, flag, bad value, text the message must hold)
+        ("loss", "--loss", "hinge", "'hinge'"),
+        ("lambda_", "--lambda", "-1", "-1.0"),
+        ("lambda_", "--lambda", "nan", "nan"),
+        ("delta", "--delta", "1.5", "1.5"),
+        ("ema_decay", "--ema-decay", "1", "1.0"),
+        ("val_fraction", "--val-fraction", "1", "1.0"),
+        ("activation", "--activation", "relu", "'relu'"),
+    ]
+
+    @pytest.mark.parametrize("key, flag, value, shown", BAD_VALUES)
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, source, key, flag, value, shown):
+        # the data file does not exist: a check that ran after loading would exit 1
+        argv = ["train", "--data", str(tmp_path / "absent.txt"), "--out", str(tmp_path / "m.txt")]
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(config)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert shown in err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_activation_flag(self, tmp_path, dataset_file, capsys):
         ckpt = tmp_path / "lin.txt"
         assert run(

@@ -1,13 +1,15 @@
 """Contrastive loss, its gradient, and label correction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from contrast_reference import reference_loss_and_gradient
 from nucontrast import linalg
 from nucontrast.contrast import (
     CorrectionConfig,
     as_label_matrix,
-    class_submatrix,
     contrastive_gradient,
     contrastive_loss,
     contrastive_loss_and_gradient,
@@ -26,24 +28,36 @@ def labels_with_positive_rows(rng, n, c, p=0.5):
 
 
 class TestClassSubmatrix:
-    def test_all_positive(self):
-        z = np.arange(8.0).reshape(4, 2)
-        labels = np.ones((4, 1), dtype=int)
-        assert np.array_equal(class_submatrix(z, labels, 0), z)
+    """Each class's term is the nuclear norm of its positive rows, in order."""
 
-    def test_all_negative(self):
+    def test_all_positive(self):
+        # the class block is the whole batch, so its term cancels exactly
         z = np.arange(8.0).reshape(4, 2)
-        labels = -np.ones((4, 1), dtype=int)
-        assert class_submatrix(z, labels, 0).shape == (0, 2)
+        value, grad = contrastive_loss_and_gradient(z, np.ones((4, 1), dtype=int))
+        assert value == 0.0
+        assert not grad.any()
+
+    def test_all_negative(self, monkeypatch):
+        z = np.random.default_rng(20).normal(size=(4, 2))
+        base = np.ones((4, 1), dtype=int)
+        with_empty = np.hstack([-base, base, -base])
+        calls = []
+        svd = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda a: calls.append(a.shape) or svd(a))
+        value, grad = contrastive_loss_and_gradient(z, with_empty)
+        assert calls == [(4, 2), (4, 2)]  # the empty classes take no SVD
+        ref_value, ref_grad = contrastive_loss_and_gradient(z, base)
+        assert value == ref_value
+        assert grad.tobytes() == ref_grad.tobytes()
 
     def test_mixed_preserves_order(self):
-        z = np.arange(8.0).reshape(4, 2)
-        labels = np.array([[1], [-1], [1], [-1]])
-        assert np.array_equal(class_submatrix(z, labels, 0), z[[0, 2]])
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            class_submatrix(np.zeros((2, 2)), np.ones((2, 1), dtype=int), 1)
+        z = np.random.default_rng(21).normal(size=(4, 3))
+        labels = np.array([[1, 1], [-1, 1], [1, 1], [-1, 1]])
+        value, grad = contrastive_loss_and_gradient(z, labels)
+        assert value == pytest.approx(linalg.nuclear_norm(z[[0, 2]]), abs=1e-12)
+        # class 1 is the whole batch and cancels; class 0 lands on rows 0, 2
+        assert np.abs(grad[[0, 2]] - linalg.nuclear_subgradient(z[[0, 2]])).max() < 1e-12
+        assert np.abs(grad[[1, 3]]).max() < 1e-12
 
 
 class TestContrastiveLoss:
@@ -167,6 +181,82 @@ class TestContrastiveGradient:
         labels = np.array([[1, -1], [1, -1], [1, -1]])
         # class 1 empty: loss reduces to the single-class case
         assert contrastive_loss(z, labels) == 0.0
+
+
+def structured_embedding(rng, n, d, decay):
+    """n x d rows whose singular values fall geometrically by ``decay``."""
+    r = min(n, d)
+    u, _ = np.linalg.qr(rng.normal(size=(n, r)))
+    v, _ = np.linalg.qr(rng.normal(size=(d, r)))
+    return (u * decay ** np.arange(r)) @ v.T
+
+
+def awkward_labels(rng, n, c):
+    """Random labels with an empty, a one-row and an all-row class."""
+    labels = np.where(rng.random((n, c)) < 0.3, 1, -1)
+    labels[:, 0] = -1
+    labels[:, 1] = -1
+    labels[rng.integers(n), 1] = 1
+    labels[:, 2] = 1
+    return labels
+
+
+class TestMatchesReferenceLoop:
+    """The loop over present classes, with its one-row closed form, agrees
+    with the plain per-class loop in ``contrast_reference``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 64])
+    @pytest.mark.parametrize("sv_threshold", [1e-6, 0.05, 0.3, 0.7])
+    def test_value_and_gradient(self, n, sv_threshold):
+        rng = np.random.default_rng([n, int(sv_threshold * 100)])
+        for trial in range(12):
+            d = int(rng.choice([1, 3, 16]))
+            z = structured_embedding(rng, n, d, float(rng.choice([0.9, 0.5, 0.1])))
+            if trial % 3 == 0:
+                z[rng.integers(n)] = 0.0  # a zero row
+            if trial % 6 == 1:
+                z[:] = 0.0  # every block is zero
+            labels = awkward_labels(rng, n, 6)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # rows may lack a positive
+                value, grad = contrastive_loss_and_gradient(z, labels, sv_threshold)
+            ref_value, ref_grad = reference_loss_and_gradient(z, labels, sv_threshold)
+            assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * max(1.0, np.abs(ref_grad).max())
+
+    def test_cut_falls_mid_spectrum(self):
+        # singular values 1, 0.5, 0.25, 0.125: a threshold of 0.3 keeps two
+        z = structured_embedding(np.random.default_rng(22), 8, 4, 0.5)
+        u, _, vh = np.linalg.svd(z, full_matrices=False)
+        kept = u[:, :2] @ vh[:2]
+        # two classes that hold every row leave 2 * kept - kept
+        _, grad = contrastive_loss_and_gradient(z, np.ones((8, 2), dtype=int), 0.3)
+        assert np.abs(grad - kept).max() < 1e-12
+        assert np.abs(linalg.nuclear_subgradient(z, 0.3) - kept).max() < 1e-12
+
+    def test_svd_once_per_present_class_plus_batch(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        shapes = []
+        svd = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda a: shapes.append(a.shape) or svd(a))
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            labels = awkward_labels(rng, n, 6)
+            shapes.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                contrastive_loss_and_gradient(rng.normal(size=(n, 4)), labels)
+            counts = (labels == 1).sum(axis=0)
+            assert shapes == [(int(m), 4) for m in counts[counts > 0]] + [(n, 4)]
+
+    @pytest.mark.parametrize(
+        "fn", [contrastive_loss, contrastive_gradient, contrastive_loss_and_gradient]
+    )
+    def test_warning_points_at_the_caller(self, fn):
+        z = np.random.default_rng(24).normal(size=(3, 2))
+        with pytest.warns(UserWarning, match="no positive label") as record:
+            fn(z, np.array([[1], [-1], [1]]))
+        assert record[0].filename == __file__
 
 
 class TestLabelCorrection:

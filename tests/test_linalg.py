@@ -106,6 +106,57 @@ class TestSvd:
             assert np.abs(jacobi_singular_values(a) - s_ref).max() < 1e-9
 
 
+class TestOneRowSvd:
+    """One-row input takes the closed form s = [||a||], u = [[1]], v = a.T / ||a||."""
+
+    def rows(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            yield rng.normal(size=(1, int(rng.integers(1, 40))))
+        yield np.array([[3.0, -4.0]])
+        yield np.array([[-2.0]])
+
+    def test_matches_oracles(self):
+        for a in self.rows():
+            u, s, v = svd(a)
+            s_jacobi = jacobi_singular_values(a)
+            u_ref, s_ref, vh_ref = np.linalg.svd(a, full_matrices=False)
+            assert abs(s[0] - s_jacobi[0]) <= 1e-15 * s_jacobi[0]
+            assert abs(s[0] - s_ref[0]) <= 1e-15 * s_ref[0]
+            # LAPACK's pair (u, v) up to one common sign
+            assert np.abs(v.T - u_ref[0, 0] * vh_ref).max() <= 1e-15
+
+    def test_shapes_and_sign_convention(self):
+        for a in self.rows():
+            u, s, v = svd(a)
+            assert u.shape == (1, 1) and s.shape == (1,) and v.shape == (a.shape[1], 1)
+            assert u[0, 0] == 1.0
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+            assert np.abs(u * s @ v.T - a).max() <= 1e-15 * s[0]
+
+    def test_zero_row(self):
+        for n in (1, 2, 7):
+            u, s, v = svd(np.zeros((1, n)))
+            assert u.tolist() == [[1.0]] and s.tolist() == [0.0]
+            assert v.tolist() == np.eye(n, 1).tolist()
+            u_ref, s_ref, vh_ref = np.linalg.svd(np.zeros((1, n)), full_matrices=False)
+            assert np.array_equal(u_ref * vh_ref, v.T) and s_ref[0] == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1.7e308])
+    def test_no_overflow_or_underflow(self, scale):
+        a = scale * np.array([[0.6, -0.8]])
+        u, s, v = svd(a)
+        assert s[0] == pytest.approx(scale, rel=1e-15)
+        assert np.abs(v[:, 0] - [0.6, -0.8]).max() <= 1e-15
+
+    def test_subnormal_row(self):
+        # the squares underflow to zero, the norm does not
+        a = np.array([[0.0, -1e-310, 5e-324]])
+        u, s, v = svd(a)
+        assert s[0] == np.linalg.svd(a, compute_uv=False)[0] == 1e-310
+        assert v[:, 0].tolist() == [0.0, -1.0, 5e-324 / 1e-310]
+
+
 class TestNuclearNorm:
     def test_identity(self):
         assert nuclear_norm(np.eye(2)) == pytest.approx(2.0, abs=1e-12)

@@ -85,3 +85,30 @@ def test_sigmoid_stable_and_bounded():
     assert np.isfinite(p).all()
     assert (p >= 0.0).all() and (p <= 1.0).all()
     assert p[2] == 0.5
+
+
+def masked_sigmoid(x):
+    """The earlier form of ``sigmoid``: split by sign with two masks, exp on
+    each part, scatter back. Kept as the reference for bit-equality."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bit_identical_to_masked_form():
+    rng = np.random.default_rng(15)
+    finfo = np.finfo(np.float64)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+               1e-320, -1e-320, finfo.max, -finfo.max, finfo.tiny, -finfo.tiny,
+               finfo.smallest_subnormal, -finfo.smallest_subnormal, 709.8, -745.2]
+    x = np.concatenate([
+        rng.integers(0, 2**64, size=40_000, dtype=np.uint64).view(np.float64),
+        rng.normal(scale=10.0, size=40_000),
+        special,
+    ]).reshape(-1, 2)
+    assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+    assert sigmoid(x).shape == x.shape

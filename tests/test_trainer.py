@@ -11,7 +11,7 @@ from nucontrast import contrast, linalg, losses, metrics, model, trainer
 from nucontrast.contrast import CorrectionConfig
 from nucontrast.data import Dataset, MissingnessSpec, drop_labels, generate_synthetic
 from nucontrast.model import save_checkpoint
-from nucontrast.trainer import TrainConfig, evaluate, split_dataset, total_loss, train
+from nucontrast.trainer import TrainConfig, _batch_terms, evaluate, split_dataset, train
 
 
 def small_dataset(seed=0, n=120, c=4, f=8):
@@ -35,6 +35,8 @@ def checkpoint_bytes(tmp_path, name, params, ema=None):
 
 
 class TestTotalLoss:
+    """The step's objective is cls + lambda * contrast, from ``_batch_terms``."""
+
     def setup_method(self):
         rng = np.random.default_rng(2)
         self.z = rng.normal(size=(6, 4))
@@ -42,36 +44,36 @@ class TestTotalLoss:
         self.labels = np.where(rng.random((6, 3)) < 0.5, 1, -1)
         self.labels[:, 0] = 1
 
+    def terms(self, cfg):
+        return _batch_terms(self.logits, self.z, self.labels, cfg)
+
     def test_lambda_zero_is_classification_only(self):
-        cfg = small_config(lambda_=0.0)
-        value, grad_logits, grad_z = total_loss(self.logits, self.z, self.labels, cfg)
-        assert value == losses.bce_loss(self.logits, self.labels).value
+        cls_value, c_value, grad_logits, grad_z = self.terms(small_config(lambda_=0.0))
+        bce = losses.bce_loss(self.logits, self.labels)
+        assert cls_value == bce.value and c_value == 0.0
+        assert np.array_equal(grad_logits, bce.grad_logits)
         assert grad_z is None
 
     def test_default_weight_is_one(self):
         assert TrainConfig().lambda_ == 1.0
 
     def test_linear_composition(self):
-        cfg = small_config(lambda_=1.0)
-        value, _, grad_z = total_loss(self.logits, self.z, self.labels, cfg)
-        cls = losses.bce_loss(self.logits, self.labels).value
-        extra = contrast.contrastive_loss(self.z, self.labels)
-        assert value == pytest.approx(cls + extra, rel=1e-12)
-        assert grad_z is not None
+        cls_value, c_value, _, grad_z = self.terms(small_config(lambda_=1.0))
+        assert cls_value == losses.bce_loss(self.logits, self.labels).value
+        assert c_value == contrast.contrastive_loss(self.z, self.labels)
+        assert np.array_equal(grad_z, contrast.contrastive_gradient(self.z, self.labels))
 
     def test_half_weight(self):
         cfg = small_config(lambda_=0.5)
-        value, _, grad_z = total_loss(self.logits, self.z, self.labels, cfg)
-        cls = losses.bce_loss(self.logits, self.labels).value
-        extra = contrast.contrastive_loss(self.z, self.labels)
-        assert value == pytest.approx(cls + 0.5 * extra, rel=1e-12)
+        _, c_value, _, grad_z = self.terms(cfg)
+        # the value term is unweighted; the trainer applies lambda to it
+        assert c_value == contrast.contrastive_loss(self.z, self.labels)
         full = contrast.contrastive_gradient(self.z, self.labels, cfg.sv_threshold)
-        assert np.allclose(grad_z, 0.5 * full)
+        assert np.array_equal(grad_z, 0.5 * full)
 
     def test_focal_variant(self):
-        cfg = small_config(lambda_=0.0, loss_kind="focal", focal_gamma=1.5)
-        value, _, _ = total_loss(self.logits, self.z, self.labels, cfg)
-        assert value == losses.focal_loss(self.logits, self.labels, 1.5).value
+        cls_value, _, _, _ = self.terms(small_config(lambda_=0.0, loss_kind="focal", focal_gamma=1.5))
+        assert cls_value == losses.focal_loss(self.logits, self.labels, 1.5).value
 
 
 class TestSplit:
