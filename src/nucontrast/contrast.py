@@ -25,18 +25,25 @@ from . import linalg
 from .linalg import DEFAULT_SV_THRESHOLD, DimensionError
 
 
-def as_label_matrix(labels, name: str = "labels") -> np.ndarray:
-    """Require every entry to be -1 or +1, then copy to a 2-D int8 array.
+def _positive_mask(labels, name: str = "labels") -> np.ndarray:
+    """Require a 2-D array whose entries are all -1 or +1; return ``labels == 1``.
 
-    The values are checked before the cast, so an entry that only casts to a
-    label (257, 1.7) is rejected.
+    The raw values are checked, so an entry that only casts to a label
+    (257, 1.7) is rejected.
     """
     out = np.asarray(labels)
     if out.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={out.ndim}")
-    if not ((out == 1) | (out == -1)).all():
+    pos = out == 1
+    if not (pos | (out == -1)).all():
         raise ValueError(f"{name} entries must all be -1 or +1")
-    return out.astype(np.int8, copy=True)
+    return pos
+
+
+def as_label_matrix(labels, name: str = "labels") -> np.ndarray:
+    """Require every entry to be -1 or +1, then copy to a 2-D int8 array."""
+    _positive_mask(labels, name)
+    return np.asarray(labels).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -63,12 +70,11 @@ class CorrectionConfig:
 def _check_pair(z, labels):
     """Validated embedding and the boolean mask of positive label slots."""
     z = linalg.as_matrix(z, "embedding")
-    labels = as_label_matrix(labels)
-    if labels.shape[0] != z.shape[0]:
+    pos = _positive_mask(labels)
+    if pos.shape[0] != z.shape[0]:
         raise DimensionError(
-            f"embedding has {z.shape[0]} rows but labels has {labels.shape[0]}"
+            f"embedding has {z.shape[0]} rows but labels has {pos.shape[0]}"
         )
-    pos = labels == 1
     if not pos.any(axis=1).all():
         warnings.warn(
             "some rows have no positive label; loss nonnegativity is not "
@@ -80,7 +86,7 @@ def _check_pair(z, labels):
 
 def contrastive_loss(z, labels) -> float:
     """Per-class nuclear norms of the embedding minus the whole-batch norm."""
-    value, _ = _loss_and_optional_gradient(z, labels, None)
+    value, _ = _loss_and_gradient(z, labels, DEFAULT_SV_THRESHOLD)
     return value
 
 
@@ -91,7 +97,7 @@ def contrastive_gradient(z, labels, sv_threshold: float = DEFAULT_SV_THRESHOLD) 
     submatrix, scattered back to the source rows (other rows padded with
     zeros); the whole-batch subgradient is subtracted at the end.
     """
-    _, grad = _loss_and_optional_gradient(z, labels, sv_threshold)
+    _, grad = _loss_and_gradient(z, labels, sv_threshold)
     return grad
 
 
@@ -99,39 +105,31 @@ def contrastive_loss_and_gradient(
     z, labels, sv_threshold: float = DEFAULT_SV_THRESHOLD
 ) -> tuple[float, np.ndarray]:
     """Loss and gradient from one SVD per submatrix (the training hot path)."""
-    return _loss_and_optional_gradient(z, labels, sv_threshold)
+    return _loss_and_gradient(z, labels, sv_threshold)
 
 
-def _loss_and_optional_gradient(z, labels, sv_threshold):
+def _loss_and_gradient(z, labels, sv_threshold):
     z, pos = _check_pair(z, labels)
-    want_grad = sv_threshold is not None
-    if want_grad and not sv_threshold > 0:
+    if not sv_threshold > 0:
         raise ValueError("sv_threshold must be positive")
 
     value = 0.0
-    grad = np.zeros_like(z) if want_grad else None
-    # Fixed ascending-class accumulation order keeps results bit-stable;
-    # classes without a positive row contribute nothing and are skipped.
-    for k in np.flatnonzero(pos.any(axis=0)):
-        rows = pos[:, k]
-        sub = z[rows]
-        if want_grad:
-            u, s, v = linalg.svd(sub)
-            value += float(s.sum())
-            # s is nonincreasing, so the kept singular vectors are a prefix
-            r = np.count_nonzero(s > sv_threshold * s[0])
-            grad[rows] += u[:, :r] @ v[:, :r].T
-        else:
-            value += linalg.nuclear_norm(sub)
+    grad = np.zeros(z.shape)
     if z.size == 0:
         return value, grad
-    if want_grad:
-        u, s, v = linalg.svd(z)
-        value -= float(s.sum())
+    # Fixed ascending-class accumulation order keeps results bit-stable;
+    # classes without a positive row contribute nothing and are skipped.
+    for k in np.logical_or.reduce(pos, axis=0).nonzero()[0].tolist():
+        rows = pos[:, k]
+        u, s, v = linalg.svd(z[rows])
+        value += float(s.sum())
+        # s is nonincreasing, so the kept singular vectors are a prefix
         r = np.count_nonzero(s > sv_threshold * s[0])
-        grad -= u[:, :r] @ v[:, :r].T
-    else:
-        value -= linalg.nuclear_norm(z)
+        grad[rows] += u[:, :r] @ v[:, :r].T
+    u, s, v = linalg.svd(z)
+    value -= float(s.sum())
+    r = np.count_nonzero(s > sv_threshold * s[0])
+    grad -= u[:, :r] @ v[:, :r].T
     return value, grad
 
 
@@ -149,9 +147,8 @@ def correct_labels(observed, probs, threshold: float) -> np.ndarray:
         raise ValueError("probs entries must lie in [0, 1]")
     if not 0.0 < threshold < 1.0:
         raise ValueError("correction threshold must be in (0, 1)")
-    corrected = observed.copy()
-    corrected[probs >= threshold] = 1
-    return corrected
+    observed[probs >= threshold] = 1  # as_label_matrix returned a copy
+    return observed
 
 
 def effective_labels(observed, probs, epoch: int, cfg: CorrectionConfig) -> np.ndarray:

@@ -64,7 +64,9 @@ def svd(a) -> SvdResult:
             v[0, 0] = 1.0
         return SvdResult(np.ones((1, 1)), np.array([norm]), v)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    signs = np.copysign(1.0, u[np.argmax(np.abs(u), axis=0), np.arange(s.size)])
+    # argmax along rows of u.T picks the same pivots as along the columns
+    # of u, without the transposed copy numpy makes for an axis-0 argmax
+    signs = np.copysign(1.0, u[np.abs(u.T).argmax(axis=1), np.arange(s.size)])
     u *= signs
     v = vh.T
     v *= signs

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import as_label_matrix
+from .contrast import _positive_mask
 from .linalg import DimensionError, as_matrix
 
 
@@ -40,23 +40,24 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 def _check(logits, labels):
+    """Validated logits and the boolean mask of positive label slots."""
     logits = as_matrix(logits, "logits")
-    labels = as_label_matrix(labels)
-    if logits.shape != labels.shape:
+    pos = _positive_mask(labels)
+    if logits.shape != pos.shape:
         raise DimensionError(
-            f"logits shape {logits.shape} does not match labels {labels.shape}"
+            f"logits shape {logits.shape} does not match labels {pos.shape}"
         )
-    return logits, labels
+    return logits, pos
 
 
 def bce_loss(logits, labels) -> LossOutput:
     """Mean sigmoid binary cross-entropy; target is 1 for +1 labels, else 0."""
-    logits, labels = _check(logits, labels)
-    y = labels.astype(np.float64)
-    margins = y * logits
-    value = float(_softplus(-margins).mean())
-    target = (y + 1.0) / 2.0
-    grad = (sigmoid(logits) - target) / logits.size
+    logits, pos = _check(logits, labels)
+    # -margin is -logit for a +1 label and logit for a -1 label; the sum over
+    # size is what .mean() computes, and the bool target subtracts as 1.0/0.0
+    sp = _softplus(np.where(pos, -logits, logits))
+    value = float(np.add.reduce(sp, axis=None) / sp.size)
+    grad = (sigmoid(logits) - pos) / logits.size
     return LossOutput(value, grad)
 
 
@@ -67,8 +68,8 @@ def focal_loss(logits, labels, gamma: float = 2.0) -> LossOutput:
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    logits, labels = _check(logits, labels)
-    y = labels.astype(np.float64)
+    logits, pos = _check(logits, labels)
+    y = np.where(pos, 1.0, -1.0)
     margins = y * logits
     pt = sigmoid(margins)          # probability assigned to the true target
     qt = sigmoid(-margins)         # 1 - pt, computed stably

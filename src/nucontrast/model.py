@@ -159,7 +159,8 @@ def embed_forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, Forwa
     prenorm = None
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = a @ w + b
+        h = a @ w
+        h += b
         if i != last:
             a = np.tanh(h)
         elif params.output_activation in ("softplus", "softplus_unit"):
@@ -211,7 +212,7 @@ def backward(
     if grad_z is not None:
         if grad_z.shape != z.shape:
             raise DimensionError("grad_z shape mismatch")
-        g = g + grad_z
+        g += grad_z
 
     last = len(params.weights) - 1
     for i in range(last, -1, -1):

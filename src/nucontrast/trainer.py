@@ -59,6 +59,14 @@ class TrainConfig:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
         if self.ema_decay is not None and not 0.0 <= self.ema_decay < 1.0:
             raise ValueError(f"ema_decay must be in [0, 1), got {self.ema_decay!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        if not self.sv_threshold > 0:
+            raise ValueError(f"sv_threshold must be > 0, got {self.sv_threshold!r}")
+        if not (math.isfinite(self.focal_gamma) and self.focal_gamma >= 0):
+            raise ValueError(
+                f"focal_gamma must be finite and >= 0, got {self.focal_gamma!r}"
+            )
         if self.output_activation not in model.OUTPUT_ACTIVATIONS:
             raise ValueError(
                 f"output_activation must be one of {model.OUTPUT_ACTIVATIONS}, "
@@ -159,21 +167,25 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
     state = model.init_adam(params)
     shuffle_rng = component_rng(cfg.seed, "shuffle")
 
+    active = cfg.contrast_active()
     history = TrainHistory()
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
+        # one gather per epoch; each batch is a slice (a view) of it
+        shuffled_features = train_ds.features[order]
+        shuffled_observed = train_ds.observed[order]
         cls_sum = 0.0
         contrast_sum = 0.0
         corrected = 0
         n_batches = 0
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            x = train_ds.features[batch]
-            observed = train_ds.observed[batch]
+            stop = start + cfg.batch_size
+            x = shuffled_features[start:stop]
+            observed = shuffled_observed[start:stop]
 
             z, cache = model.embed_forward(params, x)
             logits = model.classify(params, z)
-            if cfg.contrast_active():
+            if active:
                 probs = losses.sigmoid(logits)
                 effective = contrast.effective_labels(
                     observed, probs, epoch, cfg.correction
@@ -195,9 +207,9 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
             if ema is not None:
                 model.ema_update(ema, params, cfg.ema_decay)
 
-            cls_sum += cls_value * batch.size
+            cls_sum += cls_value * x.shape[0]
             contrast_sum += c_value
-            corrected += int((effective != observed).sum())
+            corrected += np.count_nonzero(effective != observed)
             n_batches += 1
 
         val_report = None
@@ -208,7 +220,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
                 epoch=epoch,
                 cls_loss=cls_sum / n,
                 contrast_loss=contrast_sum / n_batches,
-                corrected=corrected,
+                corrected=int(corrected),
                 val_report=val_report,
             )
         )

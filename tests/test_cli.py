@@ -193,6 +193,14 @@ class TestTrain:
         ("ema_decay", "--ema-decay", "1", "1.0"),
         ("val_fraction", "--val-fraction", "1", "1.0"),
         ("activation", "--activation", "relu", "'relu'"),
+        ("lr", "--lr", "-1", "-1.0"),
+        ("lr", "--lr", "0", "0.0"),
+        ("lr", "--lr", "nan", "nan"),
+        ("lr", "--lr", "inf", "inf"),
+        ("sv_threshold", "--sv-threshold", "0", "0.0"),
+        ("sv_threshold", "--sv-threshold", "nan", "nan"),
+        ("gamma", "--gamma", "-1", "-1.0"),
+        ("gamma", "--gamma", "inf", "inf"),
     ]
 
     @pytest.mark.parametrize("key, flag, value, shown", BAD_VALUES)

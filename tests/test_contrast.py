@@ -7,6 +7,7 @@ import pytest
 
 from contrast_reference import reference_loss_and_gradient
 from nucontrast import linalg
+from nucontrast.losses import bce_loss
 from nucontrast.contrast import (
     CorrectionConfig,
     as_label_matrix,
@@ -17,6 +18,7 @@ from nucontrast.contrast import (
     effective_labels,
 )
 from nucontrast.linalg import DimensionError
+from step_reference import reference_correct_labels
 
 
 def labels_with_positive_rows(rng, n, c, p=0.5):
@@ -176,6 +178,25 @@ class TestContrastiveGradient:
         assert value == contrastive_loss(z, labels)
         assert np.array_equal(grad, contrastive_gradient(z, labels, 1e-6))
 
+    def test_loss_is_the_sum_of_nuclear_norms(self):
+        rng = np.random.default_rng(24)
+        for n in (2, 5, 16):
+            z = rng.normal(size=(n, 4))
+            labels = labels_with_positive_rows(rng, n, 6)
+            expected = 0.0
+            for k in range(labels.shape[1]):
+                if (labels[:, k] == 1).any():
+                    expected += linalg.nuclear_norm(z[labels[:, k] == 1])
+            expected -= linalg.nuclear_norm(z)
+            assert contrastive_loss(z, labels) == expected
+
+    def test_zero_width_embedding_is_zero(self):
+        z = np.zeros((3, 0))
+        labels = np.ones((3, 2), dtype=int)
+        value, grad = contrastive_loss_and_gradient(z, labels)
+        assert value == 0.0 == contrastive_loss(z, labels)
+        assert grad.shape == (3, 0)
+
     def test_empty_class_skipped(self):
         z = np.random.default_rng(9).normal(size=(3, 2))
         labels = np.array([[1, -1], [1, -1], [1, -1]])
@@ -291,6 +312,20 @@ class TestLabelCorrection:
         high = (correct_labels(observed, probs, 0.8) != observed).sum()
         assert low >= high
 
+    def test_bit_identical_to_copying_form(self):
+        rng = np.random.default_rng(12)
+        for shape in ((2, 10), (64, 10), (5, 1)):
+            observed = labels_with_positive_rows(rng, *shape)
+            probs = rng.random(shape)
+            probs.flat[:2] = (0.6, np.nextafter(0.6, 0.0))  # at and just below
+            for source in (observed, observed.astype(np.int64), observed.astype(float)):
+                before = source.copy()
+                got = correct_labels(source, probs, 0.6)
+                want = reference_correct_labels(source, probs, 0.6)
+                assert got.dtype == want.dtype == np.int8
+                assert got.tobytes() == want.tobytes()
+                assert source.tobytes() == before.tobytes()  # input untouched
+
     def test_validation(self):
         with pytest.raises(ValueError):
             correct_labels(np.array([[-1]]), np.array([[1.5]]), 0.6)
@@ -342,6 +377,17 @@ def test_label_matrix_checks_values_before_the_int8_cast(values):
     # each of these casts to a valid int8 label (1, -1, 1, -1) but is not one
     with pytest.raises(ValueError, match="entries must all be -1 or \\+1"):
         as_label_matrix(np.array(values))
+
+
+@pytest.mark.parametrize("values", [[[257, -1]], [[1.7, -1]], [[0, 1]]])
+def test_losses_check_label_values(values):
+    # the losses build their positive mask without the int8 copy; the rule holds
+    for check in (
+        lambda labels: contrastive_loss_and_gradient(np.ones((1, 2)), labels),
+        lambda labels: bce_loss(np.zeros((1, 2)), labels),
+    ):
+        with pytest.raises(ValueError, match="labels entries must all be -1 or \\+1"):
+            check(np.array(values))
 
 
 def test_label_matrix_accepts_float_labels():

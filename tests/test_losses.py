@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from step_reference import reference_bce_loss
 from nucontrast.linalg import DimensionError
 from nucontrast.losses import bce_loss, focal_loss, sigmoid
 
@@ -50,6 +51,29 @@ class TestBce:
     def test_nonnegative(self):
         logits, labels = rand_case(1)
         assert bce_loss(logits, labels).value >= 0.0
+
+    def test_bit_identical_to_float_label_form(self):
+        rng = np.random.default_rng(16)
+        special = np.array([0.0, -0.0, 800.0, -800.0, 1e-320, -1e-320, 40.0, -40.0])
+        for shape in ((1, 1), (2, 10), (64, 10), (7, 3)):
+            logits = rng.normal(scale=float(rng.choice([0.1, 3.0, 50.0])), size=shape)
+            logits.flat[: special.size] = special[: logits.size]
+            for labels in (
+                np.where(rng.random(shape) < 0.5, 1, -1).astype(np.int8),
+                np.ones(shape, dtype=int),
+                -np.ones(shape),
+            ):
+                out = bce_loss(logits, labels)
+                value, grad = reference_bce_loss(logits, labels)
+                assert np.float64(out.value).tobytes() == np.float64(value).tobytes()
+                assert out.grad_logits.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_logit_rejected(self, bad):
+        logits = np.zeros((2, 2))
+        logits[1, 0] = bad
+        with pytest.raises(ValueError, match="logits contains non-finite entries"):
+            bce_loss(logits, np.ones((2, 2), dtype=int))
 
 
 class TestFocal:

@@ -19,6 +19,7 @@ from nucontrast.model import (
     save_checkpoint,
 )
 from nucontrast.seeding import component_rng
+from step_reference import reference_backward, reference_embed_forward
 
 
 def random_params(seed, dims=(6, 8, 4), n_classes=3, activation="linear"):
@@ -258,6 +259,28 @@ class TestFlatUpdatesBitExact:
             ]:
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert state.step == 6
+
+    @pytest.mark.parametrize("activation", model.OUTPUT_ACTIVATIONS)
+    @pytest.mark.parametrize("dims", [(6, 8, 4), (5, 9, 7, 3), (4, 2)])
+    def test_forward_and_backward_match_reference(self, activation, dims):
+        params = random_params(35, dims=dims, n_classes=3, activation=activation)
+        rng = np.random.default_rng(36)
+        for n in (1, 2, 64):
+            x = rng.normal(size=(n, dims[0]))
+            z, cache = embed_forward(params, x)
+            ref_z, ref_cache = reference_embed_forward(params, x)
+            assert z.tobytes() == ref_z.tobytes()
+            assert [a.tobytes() for a in cache.activations] == [
+                a.tobytes() for a in ref_cache.activations
+            ]
+            grad_logits = rng.normal(size=(n, 3)) / (n * 3)
+            grad_z = rng.normal(size=z.shape)
+            for extra in (None, grad_z):
+                grads = backward(params, cache, grad_logits, extra)
+                want = reference_backward(params, ref_cache, grad_logits, extra)
+                assert [a.tobytes() for a in params.views(grads)] == [
+                    a.tobytes() for a in want
+                ]
 
     def test_rejects_per_array_gradients(self):
         params = random_params(33)

@@ -12,6 +12,7 @@ from nucontrast.contrast import CorrectionConfig
 from nucontrast.data import Dataset, MissingnessSpec, drop_labels, generate_synthetic
 from nucontrast.model import save_checkpoint
 from nucontrast.trainer import TrainConfig, _batch_terms, evaluate, split_dataset, train
+from step_reference import reference_train
 
 
 def small_dataset(seed=0, n=120, c=4, f=8):
@@ -172,6 +173,36 @@ class TestTrain:
             TrainConfig(output_activation="relu")
 
 
+class TestMatchesPerStepGather:
+    """Slicing one per-epoch gather gives the bytes of gathering every batch."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            small_config(
+                batch_size=2,
+                ema_decay=0.99,
+                lr=1e-2,
+                correction=CorrectionConfig(threshold=0.51, start_epoch=2),
+            ),
+            TrainConfig(epochs=2, seed=3, lr=1e-3),
+            small_config(batch_size=5, loss_kind="focal", output_activation="linear"),
+        ],
+        ids=["b2-ema-correction", "b64-defaults", "focal-linear"],
+    )
+    def test_checkpoint_and_history_bytes(self, tmp_path, cfg):
+        ds = small_dataset()
+        got_model, got_history = train(ds, cfg)
+        want_model, want_history = reference_train(ds, cfg)
+        assert checkpoint_bytes(
+            tmp_path, "got", got_model.params, got_model.ema_params
+        ) == checkpoint_bytes(tmp_path, "want", want_model.params, want_model.ema_params)
+        assert got_history.to_text() == want_history.to_text()
+        assert all(type(e.corrected) is int for e in got_history.epochs)
+        if cfg.correction.threshold == 0.51:
+            assert [e.corrected > 0 for e in got_history.epochs] == [False, False, True]
+
+
 class TestTracedEntryPoints:
     """The step calls each public entry point that a tracer wraps through its
     module attribute, so wrapping the attribute sees every call."""
@@ -186,10 +217,13 @@ class TestTracedEntryPoints:
         (model, "ema_update"),
     )
 
+    # label and matrix checks; their per-step counts are the validation budget
+    CHECKS = ((contrast, "as_label_matrix"), (linalg, "as_matrix"))
+
     def install(self, monkeypatch, counts, on_call):
         """Replace each traced function wherever a nucontrast module holds it."""
         modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "nucontrast"]
-        for home, name in self.TRACED:
+        for home, name in self.TRACED + self.CHECKS:
             original = getattr(home, name)
 
             def wrapper(*args, _name=name, _original=original, **kwargs):
@@ -222,6 +256,36 @@ class TestTracedEntryPoints:
                 assert counts[name] == steps, name
         assert len(expected_svd) == steps
         assert counts["svd"] == sum(expected_svd)
+
+    @pytest.mark.parametrize(
+        "contrast_on, start_epoch, labels_per_step, matrices_per_step",
+        [
+            # correction: as_label_matrix on observed; as_matrix on z, logits, probs
+            (True, 1, 1, 3),
+            # correction gated off: observed passes through as_label_matrix alone
+            (True, 99, 1, 2),
+            # classification only: as_matrix on the logits
+            (False, 1, 0, 1),
+        ],
+    )
+    def test_validation_calls_per_step(
+        self, monkeypatch, contrast_on, start_epoch, labels_per_step, matrices_per_step
+    ):
+        ds = small_dataset()
+        cfg = small_config(
+            epochs=2,
+            batch_size=2,
+            val_fraction=0.0,  # no split or evaluation, so every check is a step's
+            use_contrast=contrast_on,
+            correction=CorrectionConfig(threshold=0.51, start_epoch=start_epoch),
+        )
+        counts = Counter()
+        self.install(monkeypatch, counts, lambda name, args: None)
+        train(ds, cfg)
+        steps = math.ceil(ds.n_samples / cfg.batch_size) * cfg.epochs
+        assert counts["as_label_matrix"] == labels_per_step * steps
+        # every svd validates its input once more
+        assert counts["as_matrix"] == matrices_per_step * steps + counts["svd"]
 
 
 class TestEvaluate:
