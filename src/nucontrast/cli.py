@@ -22,14 +22,11 @@ class UsageError(Exception):
     pass
 
 
-def _positive_int(value, key):
+def _int(value, key):
     try:
-        out = int(value)
+        return int(value)
     except (TypeError, ValueError):
         raise UsageError(f"{key} must be an integer, got {value!r}") from None
-    if out < 1:
-        raise UsageError(f"{key} must be >= 1, got {out}")
-    return out
 
 
 def _float(value, key):
@@ -98,10 +95,10 @@ SIMULATE_DEFAULTS = {
 
 def cmd_simulate(args) -> int:
     cfg = _merge(SIMULATE_DEFAULTS, args)
-    n = _positive_int(cfg["n"], "--n")
-    classes = _positive_int(cfg["classes"], "--classes")
-    features = _positive_int(cfg["features"], "--features")
-    groups = min(_positive_int(cfg["groups"], "--groups"), classes)
+    n = _int(cfg["n"], "--n")
+    classes = _int(cfg["classes"], "--classes")
+    features = _int(cfg["features"], "--features")
+    groups = min(_int(cfg["groups"], "--groups"), classes)
     noise = _float(cfg["noise"], "--noise")
     mode = str(cfg["mode"])
     ratio = _float(cfg["ratio"], "--ratio")
@@ -120,30 +117,31 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+_DEFAULT_CFG = trainer.TrainConfig()  # the one source of the train defaults
 TRAIN_DEFAULTS = {
     "data": None,
     "out": "checkpoint.txt",
     "history": "history.txt",
-    "loss": "bce",
-    "gamma": 2.0,
-    "lambda_": 1.0,
-    "no_contrast": False,
-    "delta": 0.6,
-    "start_epoch": 1,
-    "sv_threshold": 1e-6,
-    "lr": 1e-4,
-    "epochs": 20,
-    "batch_size": 64,
-    "seed": 0,
-    "ema_decay": "",
-    "dims": "",
-    "activation": "softplus",
-    "val_fraction": 0.2,
+    "loss": _DEFAULT_CFG.loss_kind,
+    "gamma": _DEFAULT_CFG.focal_gamma,
+    "lambda_": _DEFAULT_CFG.lambda_,
+    "no_contrast": not _DEFAULT_CFG.use_contrast,
+    "delta": _DEFAULT_CFG.correction.threshold,
+    "start_epoch": _DEFAULT_CFG.correction.start_epoch,
+    "sv_threshold": _DEFAULT_CFG.sv_threshold,
+    "lr": _DEFAULT_CFG.lr,
+    "epochs": _DEFAULT_CFG.epochs,
+    "batch_size": _DEFAULT_CFG.batch_size,
+    "seed": _DEFAULT_CFG.seed,
+    "ema_decay": "",  # off, as TrainConfig.ema_decay=None
+    "dims": "",  # (F, 64, 32), as TrainConfig.layer_dims=None
+    "activation": _DEFAULT_CFG.output_activation,
+    "val_fraction": _DEFAULT_CFG.val_fraction,
 }
 
 
 def _train_config(cfg) -> trainer.TrainConfig:
-    """Parse the merged values; TrainConfig and CorrectionConfig check their ranges."""
+    """Parse the merged values; TrainConfig and CorrectionConfig check every range."""
     ema = str(cfg["ema_decay"]).strip()
     dims_text = str(cfg["dims"]).strip()
     layer_dims = None
@@ -158,14 +156,14 @@ def _train_config(cfg) -> trainer.TrainConfig:
             use_contrast=not _bool(cfg["no_contrast"], "--no-contrast"),
             correction=CorrectionConfig(
                 threshold=_float(cfg["delta"], "--delta"),
-                start_epoch=_positive_int(cfg["start_epoch"], "--start-epoch"),
+                start_epoch=_int(cfg["start_epoch"], "--start-epoch"),
             ),
             sv_threshold=_float(cfg["sv_threshold"], "--sv-threshold"),
             loss_kind=str(cfg["loss"]),
             focal_gamma=_float(cfg["gamma"], "--gamma"),
             lr=_float(cfg["lr"], "--lr"),
-            epochs=_positive_int(cfg["epochs"], "--epochs"),
-            batch_size=_positive_int(cfg["batch_size"], "--batch-size"),
+            epochs=_int(cfg["epochs"], "--epochs"),
+            batch_size=_int(cfg["batch_size"], "--batch-size"),
             seed=int(_float(cfg["seed"], "--seed")),
             ema_decay=None if ema == "" else _float(ema, "--ema-decay"),
             layer_dims=layer_dims,
@@ -210,13 +208,11 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     ds = data.load_dataset(cfg["data"])
-    if ema is None:
-        sys.stdout.write(trainer.evaluate(params, ds, threshold).to_text())
-    else:
+    if ema is not None:
         sys.stdout.write("raw\n")
-        sys.stdout.write(trainer.evaluate(params, ds, threshold).to_text())
-        sys.stdout.write("ema\n")
-        sys.stdout.write(trainer.evaluate(ema, ds, threshold).to_text())
+    sys.stdout.write(trainer.evaluate(params, ds, threshold).to_text())
+    if ema is not None:
+        sys.stdout.write("ema\n" + trainer.evaluate(ema, ds, threshold).to_text())
     return 0
 
 
@@ -225,7 +221,9 @@ CHECK_DEFAULTS = {"trials": 50, "seed": 0}
 
 def _run_checks(args, runner) -> int:
     cfg = _merge(CHECK_DEFAULTS, args)
-    trials = _positive_int(cfg["trials"], "--trials")
+    trials = _int(cfg["trials"], "--trials")
+    if trials < 1:  # zero trials would pass without checking anything
+        raise UsageError(f"--trials must be >= 1, got {trials}")
     seed = int(_float(cfg["seed"], "--seed"))
     results = runner(trials, seed)
     for result in results:

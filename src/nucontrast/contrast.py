@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import DEFAULT_SV_THRESHOLD, DimensionError
+from .linalg import DEFAULT_SV_THRESHOLD, DimensionError, check_2d, check_sv_threshold
 
 
 def _positive_mask(labels, name: str = "labels") -> np.ndarray:
@@ -32,8 +32,7 @@ def _positive_mask(labels, name: str = "labels") -> np.ndarray:
     (257, 1.7) is rejected.
     """
     out = np.asarray(labels)
-    if out.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got ndim={out.ndim}")
+    check_2d(out, name)
     pos = out == 1
     if not (pos | (out == -1)).all():
         raise ValueError(f"{name} entries must all be -1 or +1")
@@ -44,6 +43,17 @@ def as_label_matrix(labels, name: str = "labels") -> np.ndarray:
     """Require every entry to be -1 or +1, then copy to a 2-D int8 array."""
     _positive_mask(labels, name)
     return np.asarray(labels).astype(np.int8)
+
+
+def check_correction_threshold(threshold) -> None:
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"correction threshold must be in (0, 1), got {threshold!r}")
+
+
+def check_probs(probs: np.ndarray) -> None:
+    """Require every entry of a validated probability matrix to lie in [0, 1]."""
+    if probs.min() < 0.0 or probs.max() > 1.0:
+        raise ValueError("probs entries must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -59,10 +69,7 @@ class CorrectionConfig:
     start_epoch: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(
-                f"correction threshold must be in (0, 1), got {self.threshold!r}"
-            )
+        check_correction_threshold(self.threshold)
         if self.start_epoch < 1:
             raise ValueError(f"start_epoch must be >= 1, got {self.start_epoch!r}")
 
@@ -110,8 +117,7 @@ def contrastive_loss_and_gradient(
 
 def _loss_and_gradient(z, labels, sv_threshold):
     z, pos = _check_pair(z, labels)
-    if not sv_threshold > 0:
-        raise ValueError("sv_threshold must be positive")
+    check_sv_threshold(sv_threshold)
 
     value = 0.0
     grad = np.zeros(z.shape)
@@ -121,16 +127,11 @@ def _loss_and_gradient(z, labels, sv_threshold):
     # classes without a positive row contribute nothing and are skipped.
     for k in np.logical_or.reduce(pos, axis=0).nonzero()[0].tolist():
         rows = pos[:, k]
-        u, s, v = linalg.svd(z[rows])
-        value += float(s.sum())
-        # s is nonincreasing, so the kept singular vectors are a prefix
-        r = np.count_nonzero(s > sv_threshold * s[0])
-        grad[rows] += u[:, :r] @ v[:, :r].T
-    u, s, v = linalg.svd(z)
-    value -= float(s.sum())
-    r = np.count_nonzero(s > sv_threshold * s[0])
-    grad -= u[:, :r] @ v[:, :r].T
-    return value, grad
+        norm, sub = linalg._norm_and_subgradient(z[rows], sv_threshold)
+        value += norm
+        grad[rows] += sub
+    norm, sub = linalg._norm_and_subgradient(z, sv_threshold)
+    return value - norm, grad - sub
 
 
 def correct_labels(observed, probs, threshold: float) -> np.ndarray:
@@ -143,10 +144,8 @@ def correct_labels(observed, probs, threshold: float) -> np.ndarray:
     probs = linalg.as_matrix(probs, "probs")
     if probs.shape != observed.shape:
         raise DimensionError("probs and observed shapes differ")
-    if probs.min() < 0.0 or probs.max() > 1.0:
-        raise ValueError("probs entries must lie in [0, 1]")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("correction threshold must be in (0, 1)")
+    check_probs(probs)
+    check_correction_threshold(threshold)
     observed[probs >= threshold] = 1  # as_label_matrix returned a copy
     return observed
 

@@ -28,6 +28,11 @@ class DatasetFormatError(ValueError):
     """A dataset file could not be parsed; the message names the line."""
 
 
+def _check_truth_rows(truth: np.ndarray) -> None:
+    if not (truth == 1).any(axis=1).all():
+        raise ValueError("every truth row needs at least one positive label")
+
+
 @dataclass
 class Dataset:
     features: np.ndarray          # N x F float64
@@ -42,8 +47,7 @@ class Dataset:
         n = self.features.shape[0]
         if self.truth.shape[0] != n or self.observed.shape != self.truth.shape:
             raise ValueError("features, truth and observed row counts differ")
-        if not (self.truth == 1).any(axis=1).all():
-            raise ValueError("every truth row needs at least one positive label")
+        _check_truth_rows(self.truth)
         if ((self.observed == 1) & (self.truth == -1)).any():
             raise ValueError("observed positives must be a subset of truth positives")
 
@@ -99,7 +103,9 @@ def generate_synthetic(
     positive.
     """
     if min(n_samples, n_classes, n_features, n_groups) < 1:
-        raise ValueError("all counts must be >= 1")
+        raise ValueError(
+            f"all counts must be >= 1, got {n_samples=} {n_classes=} {n_features=} {n_groups=}"
+        )
     if n_groups > n_classes:
         raise ValueError("n_groups must not exceed n_classes")
     if not 0.0 <= noise <= 4.0:
@@ -138,8 +144,7 @@ def drop_labels(truth, spec: MissingnessSpec) -> np.ndarray:
     "keep" mode has its survivor set redrawn until nonempty.
     """
     truth = as_label_matrix(truth, "truth")
-    if not (truth == 1).any(axis=1).all():
-        raise ValueError("every truth row needs at least one positive label")
+    _check_truth_rows(truth)
     rng = component_rng(spec.seed, "missing")
     observed = np.full_like(truth, -1)
     for i in range(truth.shape[0]):

@@ -30,11 +30,20 @@ class SvdResult(NamedTuple):
     v: np.ndarray
 
 
+def check_2d(a: np.ndarray, name: str) -> None:
+    if a.ndim != 2:
+        raise DimensionError(f"{name} must be 2-D, got ndim={a.ndim}")
+
+
+def check_sv_threshold(sv_threshold) -> None:
+    if not sv_threshold > 0:
+        raise ValueError(f"sv_threshold must be > 0, got {sv_threshold!r}")
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a C-contiguous float64 2-D array, rejecting non-finite entries."""
     out = np.ascontiguousarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got ndim={out.ndim}")
+    check_2d(out, name)
     if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
@@ -89,11 +98,16 @@ def nuclear_subgradient(a, sv_threshold: float = DEFAULT_SV_THRESHOLD) -> np.nda
     same shape as ``a`` with every entry in [-1, 1]; for an empty input it is
     an empty matrix of the same shape.
     """
-    if not sv_threshold > 0:
-        raise ValueError("sv_threshold must be positive")
+    check_sv_threshold(sv_threshold)
     a = as_matrix(a)
     if a.size == 0:
         return np.zeros_like(a)
+    return _norm_and_subgradient(a, sv_threshold)[1]
+
+
+def _norm_and_subgradient(a, sv_threshold: float) -> tuple[float, np.ndarray]:
+    """Nuclear norm of a nonempty ``a`` and its truncated subgradient
+    ``u1 @ v1.T``, from one call of this module's ``svd`` attribute."""
     u, s, v = svd(a)
     r = np.count_nonzero(s > sv_threshold * s[0])  # s is nonincreasing
-    return u[:, :r] @ v[:, :r].T
+    return float(s.sum()), u[:, :r] @ v[:, :r].T

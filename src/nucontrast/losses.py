@@ -8,6 +8,7 @@ by the mean over all N*C label slots, so the gradient of the mean is what
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +62,17 @@ def bce_loss(logits, labels) -> LossOutput:
     return LossOutput(value, grad)
 
 
+def check_gamma(gamma) -> None:
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"focal gamma must be finite and >= 0, got {gamma!r}")
+
+
 def focal_loss(logits, labels, gamma: float = 2.0) -> LossOutput:
     """Mean focal loss: cross-entropy damped by (1 - p_t)**gamma.
 
     Reduces exactly to ``bce_loss`` at gamma = 0.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    check_gamma(gamma)
     logits, pos = _check(logits, labels)
     y = np.where(pos, 1.0, -1.0)
     margins = y * logits

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contrast import as_label_matrix
+from .contrast import as_label_matrix, check_probs
 from .linalg import DimensionError, as_matrix
 
 
@@ -75,8 +75,7 @@ def report(probs, truth, threshold: float = 0.5) -> MetricsReport:
     truth = as_label_matrix(truth, "truth")
     if probs.shape != truth.shape:
         raise DimensionError("probs and truth shapes differ")
-    if probs.min() < 0.0 or probs.max() > 1.0:
-        raise ValueError("probs entries must lie in [0, 1]")
+    check_probs(probs)
 
     n_classes = truth.shape[1]
     pred = probs >= threshold

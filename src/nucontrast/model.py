@@ -30,6 +30,18 @@ from .linalg import DimensionError
 OUTPUT_ACTIVATIONS = ("linear", "softplus", "softplus_unit")
 
 
+def check_activation(output_activation) -> None:
+    if output_activation not in OUTPUT_ACTIVATIONS:
+        raise ValueError(
+            f"output_activation must be one of {OUTPUT_ACTIVATIONS}, got {output_activation!r}"
+        )
+
+
+def check_decay(decay) -> None:
+    if not 0.0 <= decay < 1.0:
+        raise ValueError(f"EMA decay must be in [0, 1), got {decay!r}")
+
+
 @dataclass
 class ModelParams:
     """Embedding-layer weights/biases plus the classifier weight/bias.
@@ -71,13 +83,8 @@ class ModelParams:
 
     def arrays(self) -> list[np.ndarray]:
         """All parameter arrays in the fixed serialization order."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        out.append(self.classifier_weight)
-        out.append(self.classifier_bias)
-        return out
+        out = [a for pair in zip(self.weights, self.biases) for a in pair]
+        return out + [self.classifier_weight, self.classifier_bias]
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
         """Views of ``vec``, a vector with the layout of ``flat``, shaped and
@@ -136,8 +143,7 @@ def init_params(
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2 or any(d < 1 for d in dims) or n_classes < 1:
         raise ValueError("layer_dims needs >= 2 positive entries and n_classes >= 1")
-    if output_activation not in OUTPUT_ACTIVATIONS:
-        raise ValueError(f"output_activation must be one of {OUTPUT_ACTIVATIONS}")
+    check_activation(output_activation)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -273,16 +279,27 @@ def adam_step(
 
 def ema_update(ema_params: ModelParams, params: ModelParams, decay: float) -> None:
     """ema <- decay * ema + (1 - decay) * params, elementwise in place."""
-    if not 0.0 <= decay < 1.0:
-        raise ValueError("decay must be in [0, 1)")
+    check_decay(decay)
     if ema_params.flat.shape != params.flat.shape:
         raise DimensionError("ema and params have different layouts")
     ema_params.flat *= decay
     ema_params.flat += (1.0 - decay) * params.flat
 
 
-def _format_array(name: str, a: np.ndarray) -> str:
-    return name + " " + " ".join(map(repr, a.ravel().tolist()))
+def _layout(layer_dims, n_classes: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter array, in checkpoint order."""
+    out = []
+    for i, (fan_in, fan_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
+        out += [(f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))]
+    return out + [("wc", (layer_dims[-1], n_classes)), ("bc", (n_classes,))]
+
+
+def _format_arrays(params: ModelParams) -> list[str]:
+    layout = _layout(params.layer_dims, params.n_classes)
+    return [
+        name + " " + " ".join(map(repr, a.ravel().tolist()))
+        for (name, _), a in zip(layout, params.arrays())
+    ]
 
 
 def checkpoint_text(params: ModelParams, ema_params: ModelParams | None = None) -> str:
@@ -294,27 +311,15 @@ def checkpoint_text(params: ModelParams, ema_params: ModelParams | None = None) 
         f"classes {params.n_classes}",
         f"activation {params.output_activation}",
     ]
-    lines += [_format_array(n, a) for n, a in zip(_array_names(params), params.arrays())]
+    lines += _format_arrays(params)
     if ema_params is not None:
-        lines.append("ema")
-        lines += [
-            _format_array(n, a)
-            for n, a in zip(_array_names(ema_params), ema_params.arrays())
-        ]
+        lines += ["ema"] + _format_arrays(ema_params)
     return "\n".join(lines) + "\n"
 
 
 def save_checkpoint(path, params: ModelParams, ema_params: ModelParams | None = None) -> None:
     with atomic_write(path) as fh:
         fh.write(checkpoint_text(params, ema_params))
-
-
-def _array_names(params: ModelParams) -> list[str]:
-    names = []
-    for i in range(len(params.weights)):
-        names += [f"w{i}", f"b{i}"]
-    names += ["wc", "bc"]
-    return names
 
 
 def _parse_array(line: str, expected_name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -326,11 +331,10 @@ def _parse_array(line: str, expected_name: str, shape: tuple[int, ...]) -> np.nd
         raise ValueError(
             f"checkpoint: array {expected_name!r} needs {n} values, got {len(fields) - 1}"
         )
-    try:
-        values = np.array(fields[1:], dtype=np.float64)
-    except ValueError:
-        # float() raises the ValueError that names the bad token
-        values = np.array([float(f) for f in fields[1:]])
+    # numpy's ValueError for a bad token has float()'s text, naming the token
+    values = np.array(fields[1:], dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"checkpoint: array {expected_name!r} has non-finite values")
     return values.reshape(shape)
 
 
@@ -353,36 +357,20 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelParams | None]:
     except (IndexError, ValueError) as exc:
         raise ValueError(f"checkpoint: malformed header ({exc})") from None
 
+    layout = _layout(dims, n_classes)
+
     def read_params(start: int) -> tuple[ModelParams, int]:
-        shapes: list[tuple[int, ...]] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            shapes += [(fan_in, fan_out), (fan_out,)]
-        shapes += [(dims[-1], n_classes), (n_classes,)]
-        names = [f"w{i // 2}" if i % 2 == 0 else f"b{i // 2}" for i in range(2 * (len(dims) - 1))]
-        names += ["wc", "bc"]
-        if start + len(shapes) > len(lines):
+        if start + len(layout) > len(lines):
             raise ValueError("checkpoint: truncated parameter section")
-        arrays = [
-            _parse_array(lines[start + i], names[i], shapes[i])
-            for i in range(len(shapes))
-        ]
-        n_layers = len(dims) - 1
-        params = ModelParams(
-            dims,
-            [arrays[2 * i] for i in range(n_layers)],
-            [arrays[2 * i + 1] for i in range(n_layers)],
-            arrays[-2],
-            arrays[-1],
-            activation,
-        )
-        return params, start + len(shapes)
+        arrays = [_parse_array(line, *spec) for line, spec in zip(lines[start:], layout)]
+        weights, biases = arrays[0:-2:2], arrays[1:-2:2]
+        params = ModelParams(dims, weights, biases, arrays[-2], arrays[-1], activation)
+        return params, start + len(layout)
 
     params, pos = read_params(3)
     ema = None
-    if pos < len(lines):
-        if lines[pos].strip() != "ema":
-            raise ValueError("checkpoint: unexpected trailing content")
+    if pos < len(lines) and lines[pos].strip() == "ema":
         ema, pos = read_params(pos + 1)
-        if pos != len(lines):
-            raise ValueError("checkpoint: unexpected trailing content")
+    if pos != len(lines):
+        raise ValueError("checkpoint: unexpected trailing content")
     return params, ema

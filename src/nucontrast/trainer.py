@@ -18,7 +18,7 @@ import numpy as np
 from . import contrast, losses, metrics, model
 from .contrast import CorrectionConfig
 from .data import Dataset
-from .linalg import DEFAULT_SV_THRESHOLD
+from .linalg import DEFAULT_SV_THRESHOLD, check_sv_threshold
 from .metrics import MetricsReport
 from .model import ModelParams
 from .seeding import component_rng
@@ -57,21 +57,13 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size!r}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
-        if self.ema_decay is not None and not 0.0 <= self.ema_decay < 1.0:
-            raise ValueError(f"ema_decay must be in [0, 1), got {self.ema_decay!r}")
+        if self.ema_decay is not None:
+            model.check_decay(self.ema_decay)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
-        if not self.sv_threshold > 0:
-            raise ValueError(f"sv_threshold must be > 0, got {self.sv_threshold!r}")
-        if not (math.isfinite(self.focal_gamma) and self.focal_gamma >= 0):
-            raise ValueError(
-                f"focal_gamma must be finite and >= 0, got {self.focal_gamma!r}"
-            )
-        if self.output_activation not in model.OUTPUT_ACTIVATIONS:
-            raise ValueError(
-                f"output_activation must be one of {model.OUTPUT_ACTIVATIONS}, "
-                f"got {self.output_activation!r}"
-            )
+        check_sv_threshold(self.sv_threshold)
+        losses.check_gamma(self.focal_gamma)
+        model.check_activation(self.output_activation)
 
     def contrast_active(self) -> bool:
         return self.use_contrast and self.lambda_ > 0

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nucontrast import checks, cli, contrast, model, trainer
+from nucontrast import checks, cli, contrast, data, model, trainer
 from nucontrast.cli import run
 
 
@@ -82,6 +82,25 @@ class TestSimulate:
         assert run(["simulate", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, flag, value, shown",
+        [("n", "--n", "0", "n_samples=0"), ("groups", "--groups", "0", "n_groups=0")],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_count_is_usage_error(self, tmp_path, capsys, source, key, flag, value, shown):
+        out = tmp_path / "d.txt"
+        argv = ["simulate", "--out", str(out)]
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            config = tmp_path / "sim.cfg"
+            config.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(config)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and shown in err
         assert not out.exists()
 
     def test_deterministic_bytes(self, tmp_path, capsys):
@@ -201,6 +220,9 @@ class TestTrain:
         ("sv_threshold", "--sv-threshold", "nan", "nan"),
         ("gamma", "--gamma", "-1", "-1.0"),
         ("gamma", "--gamma", "inf", "inf"),
+        ("epochs", "--epochs", "0", "epochs must be >= 1, got 0"),
+        ("batch_size", "--batch-size", "1", "batch_size must be >= 2, got 1"),
+        ("start_epoch", "--start-epoch", "0", "start_epoch must be >= 1, got 0"),
     ]
 
     @pytest.mark.parametrize("key, flag, value, shown", BAD_VALUES)
@@ -218,6 +240,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert shown in err
         assert not (tmp_path / "m.txt").exists()
+
+    def test_no_knob_flags_trains_with_train_config_defaults(self, tmp_path, dataset_file, capsys):
+        ckpt, hist = tmp_path / "m.txt", tmp_path / "h.txt"
+        argv = ["train", "--data", str(dataset_file), "--seed", "1"]
+        assert run(argv + ["--out", str(ckpt), "--history", str(hist)]) == 0
+        capsys.readouterr()
+        trained, history = trainer.train(
+            data.load_dataset(dataset_file), trainer.TrainConfig(seed=1)
+        )
+        want = model.checkpoint_text(trained.params, trained.ema_params)
+        assert ckpt.read_bytes() == want.encode("utf-8")
+        assert hist.read_bytes() == history.to_text().encode("utf-8")
 
     def test_activation_flag(self, tmp_path, dataset_file, capsys):
         ckpt = tmp_path / "lin.txt"
@@ -265,6 +299,18 @@ class TestEval:
         code = run(["eval", "--checkpoint", str(bad), "--data", str(dataset_file)])
         assert code == 1
         capsys.readouterr()
+
+    def test_non_finite_checkpoint_names_the_array(self, tmp_path, dataset_file, capsys):
+        ckpt = tmp_path / "nan.txt"
+        model.save_checkpoint(ckpt, model.init_params((8, 5, 3), 4, np.random.default_rng(0)))
+        lines = ckpt.read_text().splitlines()
+        assert lines[3].startswith("w0 ")
+        lines[3] = "w0 nan " + lines[3].split(maxsplit=2)[2]
+        ckpt.write_text("\n".join(lines) + "\n")
+        assert run(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: checkpoint: array 'w0' has non-finite values\n"
+        assert captured.out == ""
 
     def test_ema_checkpoint_prints_both(self, tmp_path, dataset_file, capsys):
         ckpt = tmp_path / "ema.txt"

@@ -1,0 +1,201 @@
+"""Each validation rule is written once.
+
+Two checks: no raise message template appears at two raise sites anywhere in
+the package, and for every value rule that more than one entry point
+enforces, each of those entries rejects a bad value with the same exception
+type and the same message.
+"""
+
+import ast
+import math
+import textwrap
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nucontrast import linalg, metrics
+from nucontrast.contrast import (
+    CorrectionConfig,
+    as_label_matrix,
+    contrastive_loss_and_gradient,
+    correct_labels,
+)
+from nucontrast.data import Dataset, MissingnessSpec, drop_labels
+from nucontrast.losses import focal_loss
+from nucontrast.model import ema_update, init_params
+from nucontrast.seeding import component_rng
+from nucontrast.trainer import TrainConfig
+
+SRC = Path(__file__).parents[1] / "src" / "nucontrast"
+
+
+def message_template(node):
+    """A literal or f-string message with each replacement field as ``{}``;
+    None for a message built any other way."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(
+            part.value if isinstance(part, ast.Constant) else "{}" for part in node.values
+        )
+    return None
+
+
+def raise_sites(sources):
+    """{template: [(file, line), ...]} over every ``raise E(message, ...)``
+    whose message has a template; ``sources`` maps a file name to its text."""
+    sites = defaultdict(list)
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                template = message_template(node.exc.args[0])
+                if template is not None:
+                    sites[template].append((name, node.lineno))
+    return {template: sorted(where) for template, where in sites.items()}
+
+
+def package_sources():
+    return {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+
+
+def test_no_message_template_at_two_raise_sites():
+    sites = raise_sites(package_sources())
+    assert sum(map(len, sites.values())) > 50  # the walk saw the package
+    assert {t: s for t, s in sites.items() if len(s) > 1} == {}
+
+
+def test_template_finder_sees_a_duplicate():
+    source = textwrap.dedent(
+        """
+        def f(x, name):
+            if x < 0:
+                raise ValueError(f"{name} must be >= 0, got {x!r}")
+            raise TypeError(f"{name} must be >= 0, got {x:.3f}")
+
+        def g(x):
+            raise ValueError("plain " "text")
+            raise ValueError("plain text")
+            raise ValueError(str(x))
+            raise
+        """
+    )
+    sites = raise_sites({"m.py": source})
+    assert sites == {
+        "{} must be >= 0, got {}": [("m.py", 4), ("m.py", 5)],
+        "plain text": [("m.py", 8), ("m.py", 9)],
+    }
+
+
+NAN, INF = math.nan, math.inf
+LABELS = np.array([[1, -1], [-1, 1]])
+HALF = np.full((2, 2), 0.5)
+BAD_TRUTH = np.array([[1, -1], [-1, -1]])
+
+
+def params():
+    return init_params((2, 2), 2, component_rng(0, "init"))
+
+
+def probs_with(value):
+    probs = HALF.copy()
+    probs[1, 0] = value
+    return probs
+
+
+RULES = (
+    [
+        pytest.param(
+            [
+                lambda v=v: linalg.nuclear_subgradient(np.eye(2), v),
+                lambda v=v: contrastive_loss_and_gradient(np.eye(2), LABELS, v),
+                lambda v=v: TrainConfig(sv_threshold=v),
+            ],
+            repr(v),
+            id=f"sv_threshold={v}",
+        )
+        for v in (0.0, -1.0, NAN)
+    ]
+    + [
+        pytest.param(
+            [
+                lambda v=v: correct_labels(LABELS, HALF, v),
+                lambda v=v: CorrectionConfig(threshold=v),
+            ],
+            repr(v),
+            id=f"threshold={v}",
+        )
+        for v in (0.0, 1.0, NAN)
+    ]
+    + [
+        pytest.param(
+            [
+                lambda v=v: focal_loss(np.zeros((2, 2)), LABELS, v),
+                lambda v=v: TrainConfig(focal_gamma=v),
+            ],
+            repr(v),
+            id=f"gamma={v}",
+        )
+        for v in (-1.0, NAN, INF)
+    ]
+    + [
+        pytest.param(
+            [
+                lambda v=v: ema_update(params(), params(), v),
+                lambda v=v: TrainConfig(ema_decay=v),
+            ],
+            repr(v),
+            id=f"decay={v}",
+        )
+        for v in (-0.1, 1.0, NAN)
+    ]
+    + [
+        pytest.param(
+            [
+                lambda v=v: correct_labels(LABELS, probs_with(v), 0.6),
+                lambda v=v: metrics.report(probs_with(v), LABELS),
+            ],
+            "[0, 1]",
+            id=f"probs={v}",
+        )
+        for v in (1.5, -0.1)
+    ]
+    + [
+        pytest.param(
+            [
+                lambda: Dataset(np.zeros((2, 1)), BAD_TRUTH, BAD_TRUTH),
+                lambda: drop_labels(BAD_TRUTH, MissingnessSpec("keep")),
+            ],
+            "positive",
+            id="truth-row-without-positive",
+        ),
+        pytest.param(
+            [
+                lambda: linalg.as_matrix(np.ones(3), "labels"),
+                lambda: as_label_matrix(np.ones(3)),
+            ],
+            "ndim=1",
+            id="one-dimensional",
+        ),
+        pytest.param(
+            [
+                lambda: init_params((2, 2), 2, component_rng(0, "init"), "relu"),
+                lambda: TrainConfig(output_activation="relu"),
+            ],
+            "'relu'",
+            id="activation=relu",
+        ),
+    ]
+)
+
+
+@pytest.mark.parametrize("entries, shown", RULES)
+def test_one_rule_one_message(entries, shown):
+    outcomes = []
+    for entry in entries:
+        with pytest.raises(ValueError) as caught:
+            entry()
+        outcomes.append((type(caught.value), str(caught.value)))
+    assert len(set(outcomes)) == 1, outcomes
+    assert shown in outcomes[0][1]

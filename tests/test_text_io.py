@@ -285,6 +285,21 @@ class TestCheckpointParse:
         params, _ = load_checkpoint(self.corrupt(tmp_path, token))
         assert params.weights[0][0, 0] == value
 
+    @pytest.mark.parametrize("token", ["nan", "-inf", "Infinity"])
+    def test_non_finite_value_names_the_array(self, tmp_path, token):
+        with pytest.raises(ValueError, match="^checkpoint: array 'w0' has non-finite values$"):
+            load_checkpoint(self.corrupt(tmp_path, token))
+
+    def test_non_finite_ema_value_names_the_array(self, tmp_path):
+        params = init_params((3, 2), 2, component_rng(0, "init"), "linear")
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, params, params.copy())
+        text = path.read_text()
+        assert text.endswith("\nbc 0.0 0.0\n")  # the ema section's last array
+        path.write_text(text[: -len("0.0\n")] + "nan\n")
+        with pytest.raises(ValueError, match="'bc' has non-finite values"):
+            load_checkpoint(path)
+
 
 class TestSaveMemory:
     def test_peak_stays_small(self, tmp_path):
