@@ -252,7 +252,14 @@ def check_correction_table() -> CheckResult:
     )
 
 
+def check_trials(trials: int) -> None:
+    """Zero trials would pass without checking anything."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
+
+
 def run_gradcheck(trials: int, seed: int) -> list[CheckResult]:
+    check_trials(trials)
     return [
         check_subgradient_fd(trials, seed),
         check_contrast_fd(trials, seed + 1),
@@ -261,6 +268,7 @@ def run_gradcheck(trials: int, seed: int) -> list[CheckResult]:
 
 
 def run_selftest(trials: int, seed: int) -> list[CheckResult]:
+    """The gradcheck suite (which checks ``trials``) plus the property checks."""
     return run_gradcheck(trials, seed) + [
         check_stack_inequality(trials * 5, seed + 3),
         check_nonnegativity(trials * 5, seed + 4),

@@ -1,18 +1,23 @@
 """Command-line front end: simulate, train, eval, gradcheck, selftest.
 
 Exit codes: 0 success, 1 runtime or property failure, 2 usage error.
-Every value can come from three places with increasing precedence: built-in
-defaults, a config file of "key = value" lines (--config), command-line
-flags. All flags are validated before any work starts, and commands are
-deterministic: the same flags and input files produce byte-identical outputs.
+Each command's knobs are one table, and its parser is built from that table.
+A value comes from, with increasing precedence, the built-in default, a
+config file of "key = value" lines (--config, read by simulate, train and
+eval), and the command-line flag. A flag and a config value go through the
+same converter; every range and choice rule belongs to the library. All
+values are checked before any work starts, and commands are deterministic:
+the same flags and input files produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
+from typing import Callable, NamedTuple
 
-from . import checks, data, model, trainer
+from . import checks, data, metrics, model, trainer
 from .contrast import CorrectionConfig
 from .data import DatasetFormatError, MissingnessSpec
 from .fileio import atomic_write
@@ -22,28 +27,109 @@ class UsageError(Exception):
     pass
 
 
-def _int(value, key):
+@contextmanager
+def _library_rules():
+    """A value rejected by a library check is a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _text(value, flag):
+    return value
+
+
+def _int(value, flag):
     try:
         return int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be an integer, got {value!r}") from None
+    except ValueError:
+        raise UsageError(f"{flag} must be an integer, got {value!r}") from None
 
 
-def _float(value, key):
+def _float(value, flag):
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be a number, got {value!r}") from None
+    except ValueError:
+        raise UsageError(f"{flag} must be a number, got {value!r}") from None
 
 
-def _bool(value, key):
-    if isinstance(value, bool):
-        return value
-    if str(value).lower() in ("1", "true", "yes"):
+def _optional_float(value, flag):
+    """An empty value means off (None)."""
+    return _float(value, flag) if value.strip() else None
+
+
+def _bool(value, flag):
+    if value.lower() in ("1", "true", "yes"):
         return True
-    if str(value).lower() in ("0", "false", "no"):
+    if value.lower() in ("0", "false", "no"):
         return False
-    raise UsageError(f"{key} must be a boolean, got {value!r}")
+    raise UsageError(f"{flag} must be a boolean, got {value!r}")
+
+
+def _dims(value, flag):
+    """Comma-separated layer widths; an empty value means the default layout."""
+    try:
+        return tuple(int(d) for d in value.replace(",", " ").split()) or None
+    except ValueError:
+        raise UsageError(f"{flag} must be a comma list of ints, got {value!r}") from None
+
+
+class Knob(NamedTuple):
+    key: str  # config key and parser dest
+    flag: str
+    convert: Callable  # (text, flag) -> value; _bool makes a store_const flag
+    default: object
+    help: str | None = None
+
+
+SIMULATE = (
+    Knob("n", "--n", _int, 1000),
+    Knob("classes", "--classes", _int, 10),
+    Knob("features", "--features", _int, 32),
+    Knob("groups", "--groups", _int, 6, "label templates (capped at --classes)"),
+    Knob("noise", "--noise", _float, 0.05),
+    Knob("mode", "--mode", _text, "keep", "keep or single"),
+    Knob("ratio", "--ratio", _float, 1.0),
+    Knob("seed", "--seed", _int, 0),
+    Knob("out", "--out", _text, "dataset.txt"),
+)
+
+_TC = trainer.TrainConfig()  # the one source of the train defaults
+TRAIN = (
+    Knob("data", "--data", _text, None),
+    Knob("out", "--out", _text, "checkpoint.txt"),
+    Knob("history", "--history", _text, "history.txt"),
+    Knob("loss", "--loss", _text, _TC.loss_kind, "bce or focal"),
+    Knob("gamma", "--gamma", _float, _TC.focal_gamma),
+    Knob("lambda_", "--lambda", _float, _TC.lambda_),
+    Knob("no_contrast", "--no-contrast", _bool, not _TC.use_contrast,
+         "train with the classification loss only"),
+    Knob("delta", "--delta", _float, _TC.correction.threshold,
+         "label-correction probability threshold"),
+    Knob("start_epoch", "--start-epoch", _int, _TC.correction.start_epoch),
+    Knob("sv_threshold", "--sv-threshold", _float, _TC.sv_threshold),
+    Knob("lr", "--lr", _float, _TC.lr),
+    Knob("epochs", "--epochs", _int, _TC.epochs),
+    Knob("batch_size", "--batch-size", _int, _TC.batch_size),
+    Knob("seed", "--seed", _int, _TC.seed),
+    Knob("ema_decay", "--ema-decay", _optional_float, _TC.ema_decay),
+    Knob("dims", "--dims", _dims, _TC.layer_dims, "layer widths F,H1,...,D (default F,64,32)"),
+    Knob("activation", "--activation", _text, _TC.output_activation,
+         "one of " + ", ".join(model.OUTPUT_ACTIVATIONS)),
+    Knob("val_fraction", "--val-fraction", _float, _TC.val_fraction),
+)
+
+EVAL = (
+    Knob("checkpoint", "--checkpoint", _text, None),
+    Knob("data", "--data", _text, None),
+    Knob("threshold", "--threshold", _float, 0.5),
+)
+
+CHECKS = (
+    Knob("trials", "--trials", _int, 50),
+    Knob("seed", "--seed", _int, 0),
+)
 
 
 def _read_config(path) -> dict[str, str]:
@@ -64,150 +150,88 @@ def _read_config(path) -> dict[str, str]:
     return mapping
 
 
-def _merge(defaults: dict, args: argparse.Namespace) -> dict:
-    """defaults < config file < flags; rejects unknown config keys."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, value in _read_config(config_path).items():
-            if key not in defaults:
-                raise UsageError(f"unknown config key {key!r}")
-            merged[key] = value
-    for key in defaults:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    return merged
-
-
-SIMULATE_DEFAULTS = {
-    "n": 1000,
-    "classes": 10,
-    "features": 32,
-    "groups": 6,
-    "noise": 0.05,
-    "mode": "keep",
-    "ratio": 1.0,
-    "seed": 0,
-    "out": "dataset.txt",
-}
+def _values(table, args: argparse.Namespace) -> dict:
+    """Each knob's value: default < config file < flag. A given value, from
+    either source, goes through the knob's converter; unknown config keys
+    are rejected."""
+    given = _read_config(args.config) if getattr(args, "config", None) else {}
+    keys = {knob.key for knob in table}
+    for key in given:
+        if key not in keys:
+            raise UsageError(f"unknown config key {key!r}")
+    values = {}
+    for knob in table:
+        text = getattr(args, knob.key)
+        if text is None:
+            text = given.get(knob.key)
+        values[knob.key] = knob.default if text is None else knob.convert(text, knob.flag)
+    return values
 
 
 def cmd_simulate(args) -> int:
-    cfg = _merge(SIMULATE_DEFAULTS, args)
-    n = _int(cfg["n"], "--n")
-    classes = _int(cfg["classes"], "--classes")
-    features = _int(cfg["features"], "--features")
-    groups = min(_int(cfg["groups"], "--groups"), classes)
-    noise = _float(cfg["noise"], "--noise")
-    mode = str(cfg["mode"])
-    ratio = _float(cfg["ratio"], "--ratio")
-    seed = int(_float(cfg["seed"], "--seed"))
-    try:
-        spec = MissingnessSpec(mode, ratio, seed)
-        ds = data.generate_synthetic(n, classes, features, groups, noise, seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    v = _values(SIMULATE, args)
+    with _library_rules():
+        spec = MissingnessSpec(v["mode"], v["ratio"], v["seed"])
+        ds = data.generate_synthetic(
+            v["n"], v["classes"], v["features"], min(v["groups"], v["classes"]),
+            v["noise"], v["seed"],
+        )
     observed = data.drop_labels(ds.truth, spec)
     ds = data.Dataset(ds.features, ds.truth, observed)
-    data.save_dataset(ds, cfg["out"])
+    data.save_dataset(ds, v["out"])
     kept = float((observed == 1).sum() / (ds.truth == 1).sum())
     print(f"avg_positives {data.average_positives(observed):.4f}")
     print(f"kept_fraction {kept:.4f}")
     return 0
 
 
-_DEFAULT_CFG = trainer.TrainConfig()  # the one source of the train defaults
-TRAIN_DEFAULTS = {
-    "data": None,
-    "out": "checkpoint.txt",
-    "history": "history.txt",
-    "loss": _DEFAULT_CFG.loss_kind,
-    "gamma": _DEFAULT_CFG.focal_gamma,
-    "lambda_": _DEFAULT_CFG.lambda_,
-    "no_contrast": not _DEFAULT_CFG.use_contrast,
-    "delta": _DEFAULT_CFG.correction.threshold,
-    "start_epoch": _DEFAULT_CFG.correction.start_epoch,
-    "sv_threshold": _DEFAULT_CFG.sv_threshold,
-    "lr": _DEFAULT_CFG.lr,
-    "epochs": _DEFAULT_CFG.epochs,
-    "batch_size": _DEFAULT_CFG.batch_size,
-    "seed": _DEFAULT_CFG.seed,
-    "ema_decay": "",  # off, as TrainConfig.ema_decay=None
-    "dims": "",  # (F, 64, 32), as TrainConfig.layer_dims=None
-    "activation": _DEFAULT_CFG.output_activation,
-    "val_fraction": _DEFAULT_CFG.val_fraction,
-}
-
-
-def _train_config(cfg) -> trainer.TrainConfig:
-    """Parse the merged values; TrainConfig and CorrectionConfig check every range."""
-    ema = str(cfg["ema_decay"]).strip()
-    dims_text = str(cfg["dims"]).strip()
-    layer_dims = None
-    if dims_text:
-        try:
-            layer_dims = tuple(int(d) for d in dims_text.replace(",", " ").split())
-        except ValueError:
-            raise UsageError(f"--dims must be a comma list of ints, got {dims_text!r}") from None
-    try:
-        return trainer.TrainConfig(
-            lambda_=_float(cfg["lambda_"], "--lambda"),
-            use_contrast=not _bool(cfg["no_contrast"], "--no-contrast"),
-            correction=CorrectionConfig(
-                threshold=_float(cfg["delta"], "--delta"),
-                start_epoch=_int(cfg["start_epoch"], "--start-epoch"),
-            ),
-            sv_threshold=_float(cfg["sv_threshold"], "--sv-threshold"),
-            loss_kind=str(cfg["loss"]),
-            focal_gamma=_float(cfg["gamma"], "--gamma"),
-            lr=_float(cfg["lr"], "--lr"),
-            epochs=_int(cfg["epochs"], "--epochs"),
-            batch_size=_int(cfg["batch_size"], "--batch-size"),
-            seed=int(_float(cfg["seed"], "--seed")),
-            ema_decay=None if ema == "" else _float(ema, "--ema-decay"),
-            layer_dims=layer_dims,
-            output_activation=str(cfg["activation"]),
-            val_fraction=_float(cfg["val_fraction"], "--val-fraction"),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def cmd_train(args) -> int:
-    cfg = _merge(TRAIN_DEFAULTS, args)
-    if not cfg["data"]:
+    v = _values(TRAIN, args)
+    if not v["data"]:
         raise UsageError("--data is required")
-    train_cfg = _train_config(cfg)
-    ds = data.load_dataset(cfg["data"])
+    with _library_rules():
+        train_cfg = trainer.TrainConfig(
+            lambda_=v["lambda_"],
+            use_contrast=not v["no_contrast"],
+            correction=CorrectionConfig(threshold=v["delta"], start_epoch=v["start_epoch"]),
+            sv_threshold=v["sv_threshold"],
+            loss_kind=v["loss"],
+            focal_gamma=v["gamma"],
+            lr=v["lr"],
+            epochs=v["epochs"],
+            batch_size=v["batch_size"],
+            seed=v["seed"],
+            ema_decay=v["ema_decay"],
+            layer_dims=v["dims"],
+            output_activation=v["activation"],
+            val_fraction=v["val_fraction"],
+        )
+    ds = data.load_dataset(v["data"])
     trained, history = trainer.train(ds, train_cfg)
-    model.save_checkpoint(cfg["out"], trained.params, trained.ema_params)
-    with atomic_write(cfg["history"]) as fh:
+    model.save_checkpoint(v["out"], trained.params, trained.ema_params)
+    with atomic_write(v["history"]) as fh:
         fh.write(history.to_text())
     last = history.epochs[-1]
     if last.val_report is not None:
         print(f"final_val_map {last.val_report.map:.4f}")
-    print(f"checkpoint {cfg['out']}")
-    print(f"history {cfg['history']}")
+    print(f"checkpoint {v['out']}")
+    print(f"history {v['history']}")
     return 0
 
 
-EVAL_DEFAULTS = {"checkpoint": None, "data": None, "threshold": 0.5}
-
-
 def cmd_eval(args) -> int:
-    cfg = _merge(EVAL_DEFAULTS, args)
-    if not cfg["checkpoint"] or not cfg["data"]:
+    v = _values(EVAL, args)
+    if not v["checkpoint"] or not v["data"]:
         raise UsageError("--checkpoint and --data are required")
-    threshold = _float(cfg["threshold"], "--threshold")
-    if not 0.0 <= threshold <= 1.0:
-        raise UsageError(f"--threshold must be in [0, 1], got {threshold}")
+    threshold = v["threshold"]
+    with _library_rules():
+        metrics.check_threshold(threshold)
     try:
-        params, ema = model.load_checkpoint(cfg["checkpoint"])
+        params, ema = model.load_checkpoint(v["checkpoint"])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    ds = data.load_dataset(cfg["data"])
+    ds = data.load_dataset(v["data"])
     if ema is not None:
         sys.stdout.write("raw\n")
     sys.stdout.write(trainer.evaluate(params, ds, threshold).to_text())
@@ -216,16 +240,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-CHECK_DEFAULTS = {"trials": 50, "seed": 0}
-
-
 def _run_checks(args, runner) -> int:
-    cfg = _merge(CHECK_DEFAULTS, args)
-    trials = _int(cfg["trials"], "--trials")
-    if trials < 1:  # zero trials would pass without checking anything
-        raise UsageError(f"--trials must be >= 1, got {trials}")
-    seed = int(_float(cfg["seed"], "--seed"))
-    results = runner(trials, seed)
+    v = _values(CHECKS, args)
+    with _library_rules():
+        checks.check_trials(v["trials"])
+    results = runner(v["trials"], v["seed"])
     for result in results:
         print(result.line())
     if all(r.passed for r in results):
@@ -243,66 +262,34 @@ def cmd_selftest(args) -> int:
     return _run_checks(args, checks.run_selftest)
 
 
+COMMANDS = (
+    # name, help, knob table, reads --config, handler
+    ("simulate", "generate a synthetic dataset file", SIMULATE, True, cmd_simulate),
+    ("train", "train on a dataset file", TRAIN, True, cmd_train),
+    ("eval", "evaluate a checkpoint against a dataset", EVAL, True, cmd_eval),
+    ("gradcheck", "run the gradcheck property suite", CHECKS, False, cmd_gradcheck),
+    ("selftest", "run the selftest property suite", CHECKS, False, cmd_selftest),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Every flag is read as text; the knob's converter parses it."""
     parser = argparse.ArgumentParser(
         prog="nucontrast",
         description="Train and evaluate contrastive multi-label models "
         "on data with missing labels.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("simulate", help="generate a synthetic dataset file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--features", type=int)
-    p.add_argument("--groups", type=int, help="label templates (capped at --classes)")
-    p.add_argument("--noise", type=float)
-    p.add_argument("--mode", choices=("keep", "single"))
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("train", help="train on a dataset file")
-    p.add_argument("--data")
-    p.add_argument("--out")
-    p.add_argument("--history")
-    p.add_argument("--loss", choices=("bce", "focal"))
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lambda", dest="lambda_", type=float)
-    p.add_argument(
-        "--no-contrast",
-        dest="no_contrast",
-        action="store_const",
-        const=True,
-        help="train with the classification loss only",
-    )
-    p.add_argument("--delta", type=float, help="label-correction probability threshold")
-    p.add_argument("--start-epoch", dest="start_epoch", type=int)
-    p.add_argument("--sv-threshold", dest="sv_threshold", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--ema-decay", dest="ema_decay", type=float)
-    p.add_argument("--dims", help="layer widths F,H1,...,D (default F,64,32)")
-    p.add_argument("--activation", choices=model.OUTPUT_ACTIVATIONS)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint against a dataset")
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_eval)
-
-    for name, func in (("gradcheck", cmd_gradcheck), ("selftest", cmd_selftest)):
-        p = sub.add_parser(name, help=f"run the {name} property suite")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
+    for name, help_text, table, reads_config, func in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for knob in table:
+            if knob.convert is _bool:
+                p.add_argument(knob.flag, dest=knob.key, action="store_const",
+                               const="true", help=knob.help)
+            else:
+                p.add_argument(knob.flag, dest=knob.key, help=knob.help)
+        if reads_config:
+            p.add_argument("--config")
         p.set_defaults(func=func)
     return parser
 

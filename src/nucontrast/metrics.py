@@ -69,8 +69,15 @@ def _f1(p: float, r: float) -> float:
     return 2.0 * p * r / (p + r) if p + r > 0 else 0.0
 
 
+def check_threshold(threshold: float) -> None:
+    """The confidence threshold must be in [0, 1]; NaN is rejected too."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
+
+
 def report(probs, truth, threshold: float = 0.5) -> MetricsReport:
     """Full metrics report for predicted probabilities against truth labels."""
+    check_threshold(threshold)
     probs = as_matrix(probs, "probs")
     truth = as_label_matrix(truth, "truth")
     if probs.shape != truth.shape:

@@ -20,6 +20,56 @@ def test_unknown_flag_rejected(capsys):
     capsys.readouterr()
 
 
+def quiet_argv(command, tmp_path):
+    """``command`` with its outputs under ``tmp_path`` and inputs that do not
+    exist, so that a value check that runs late shows as a written file or
+    as exit code 1."""
+    absent = str(tmp_path / "absent.txt")
+    return {
+        "simulate": ["simulate", "--out", str(tmp_path / "d.txt")],
+        "train": ["train", "--data", absent, "--out", str(tmp_path / "m.txt"),
+                  "--history", str(tmp_path / "h.txt")],
+        "eval": ["eval", "--checkpoint", absent, "--data", absent],
+    }[command]
+
+
+# A value that fails each knob's conversion, or a choice the library rejects.
+UNPARSABLE = {"dims": "a,b", "mode": "drop", "loss": "hinge", "activation": "relu"}
+
+
+def knob_cases():
+    """One case per knob that takes a value and can fail to parse it."""
+    for command, table in (("simulate", cli.SIMULATE), ("train", cli.TRAIN), ("eval", cli.EVAL)):
+        for knob in table:
+            if knob.convert is cli._bool:  # a store_const flag takes no value
+                continue
+            bad = UNPARSABLE.get(knob.key, None if knob.convert is cli._text else "x1")
+            if bad is not None:
+                yield pytest.param(command, knob, bad, id=f"{command}-{knob.key}")
+
+
+@pytest.mark.parametrize("command, knob, bad", knob_cases())
+def test_flag_and_config_value_meet_the_same_check(tmp_path, capsys, command, knob, bad):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{knob.key} = {bad}\n")
+    errors = []
+    for given in ([knob.flag, bad], ["--config", str(config)]):
+        assert run(quiet_argv(command, tmp_path) + given) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage error: ") and repr(bad) in errors[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_fractional_seed_in_config_is_usage_error(tmp_path, capsys, command):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 1.9\n")
+    assert run(quiet_argv(command, tmp_path) + ["--config", str(config)]) == 2
+    assert capsys.readouterr().err == "usage error: --seed must be an integer, got '1.9'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def readme_simulate_argv():
     """Arguments of the README's quick-start ``nucontrast simulate`` line, as printed."""
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -312,6 +362,12 @@ class TestEval:
         assert captured.err == "error: checkpoint: array 'w0' has non-finite values\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value, shown", [("2", "2.0"), ("-0.5", "-0.5"), ("nan", "nan")])
+    def test_bad_threshold_is_usage_error(self, tmp_path, capsys, value, shown):
+        # the files do not exist: a check that ran after loading would exit 1
+        assert run(quiet_argv("eval", tmp_path) + ["--threshold", value]) == 2
+        assert capsys.readouterr().err == f"usage error: threshold must be in [0, 1], got {shown}\n"
+
     def test_ema_checkpoint_prints_both(self, tmp_path, dataset_file, capsys):
         ckpt = tmp_path / "ema.txt"
         assert run(
@@ -337,6 +393,13 @@ class TestChecks:
         out = capsys.readouterr().out
         assert "correction_table" in out
         assert out.strip().endswith("PASS")
+
+    @pytest.mark.parametrize("command", ["gradcheck", "selftest"])
+    def test_zero_trials_is_usage_error(self, capsys, command):
+        assert run([command, "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: trials must be >= 1, got 0\n"
+        assert captured.out == ""
 
     def test_negated_gradient_detected(self, capsys, monkeypatch):
         true_grad = contrast.contrastive_gradient

@@ -1,9 +1,10 @@
 """Each validation rule is written once.
 
-Two checks: no raise message template appears at two raise sites anywhere in
-the package, and for every value rule that more than one entry point
-enforces, each of those entries rejects a bad value with the same exception
-type and the same message.
+Three checks: no raise message template appears at two raise sites anywhere
+in the package; the CLI leaves type and choice checks to its own converters
+and the library, never to argparse; and for every value rule that more than
+one entry point enforces, each of those entries rejects a bad value with the
+same exception type and the same message.
 """
 
 import ast
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nucontrast import linalg, metrics
+from nucontrast import checks, linalg, metrics
 from nucontrast.contrast import (
     CorrectionConfig,
     as_label_matrix,
@@ -26,7 +27,7 @@ from nucontrast.data import Dataset, MissingnessSpec, drop_labels
 from nucontrast.losses import focal_loss
 from nucontrast.model import ema_update, init_params
 from nucontrast.seeding import component_rng
-from nucontrast.trainer import TrainConfig
+from nucontrast.trainer import TrainConfig, evaluate
 
 SRC = Path(__file__).parents[1] / "src" / "nucontrast"
 
@@ -86,6 +87,47 @@ def test_template_finder_sees_a_duplicate():
         "{} must be >= 0, got {}": [("m.py", 4), ("m.py", 5)],
         "plain text": [("m.py", 8), ("m.py", 9)],
     }
+
+
+def add_argument_keywords(source):
+    """[(line, keyword names)] of every ``add_argument`` call; ``**kwargs``
+    shows as None."""
+    return sorted(
+        (node.lineno, [kw.arg for kw in node.keywords])
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+    )
+
+
+def argparse_checks(source):
+    """(line, keyword) of each ``add_argument`` keyword that would let argparse
+    check a value: ``type``, ``choices``, or a ``**kwargs`` that may hide one."""
+    return [
+        (line, kw)
+        for line, keywords in add_argument_keywords(source)
+        for kw in keywords
+        if kw in ("type", "choices", None)
+    ]
+
+
+def test_cli_flags_are_read_as_text():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert len(add_argument_keywords(source)) >= 3  # the walk saw the parser
+    assert argparse_checks(source) == []
+
+
+def test_argparse_check_finder_sees_type_and_choices():
+    source = textwrap.dedent(
+        """
+        p.add_argument("--n", type=int)
+        p.add_argument("--mode", choices=("keep", "single"), help="mode")
+        p.add_argument("--out", **extra)
+        p.add_argument("--data", dest="data", help="input")
+        """
+    )
+    assert argparse_checks(source) == [(2, "type"), (3, "choices"), (4, None)]
 
 
 NAN, INF = math.nan, math.inf
@@ -162,6 +204,25 @@ RULES = (
         for v in (1.5, -0.1)
     ]
     + [
+        pytest.param(
+            [
+                lambda v=v: metrics.report(HALF, LABELS, v),
+                lambda v=v: evaluate(params(), Dataset(np.zeros((2, 2)), LABELS, LABELS), v),
+            ],
+            repr(v),
+            id=f"eval-threshold={v}",
+        )
+        for v in (NAN, 2.0, -0.5)
+    ]
+    + [
+        pytest.param(
+            [
+                lambda: checks.run_gradcheck(0, 0),
+                lambda: checks.run_selftest(0, 0),
+            ],
+            "got 0",
+            id="trials=0",
+        ),
         pytest.param(
             [
                 lambda: Dataset(np.zeros((2, 1)), BAD_TRUTH, BAD_TRUTH),
