@@ -25,8 +25,7 @@ from .linalg import (
 )
 from .contrast import (
     CorrectionConfig,
-    contrastive_gradient,
-    contrastive_loss,
+    contrastive_loss_and_gradient,
     correct_labels,
     effective_labels,
 )

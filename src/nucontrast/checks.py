@@ -107,11 +107,11 @@ def check_contrast_fd(trials: int = 200, seed: int = 1) -> CheckResult:
             labels = _labels_with_positive_rows(rng, n, c)
             if _contrast_instance_ok(z, labels):
                 break
-        grad = contrast.contrastive_gradient(z, labels)
+        grad = contrast.contrastive_loss_and_gradient(z, labels)[1]
         direction = rng.normal(size=z.shape)
         fd = (
-            contrast.contrastive_loss(z + FD_STEP * direction, labels)
-            - contrast.contrastive_loss(z - FD_STEP * direction, labels)
+            contrast.contrastive_loss_and_gradient(z + FD_STEP * direction, labels)[0]
+            - contrast.contrastive_loss_and_gradient(z - FD_STEP * direction, labels)[0]
         ) / (2 * FD_STEP)
         analytic = float((grad * direction).sum())
         err = abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-6)
@@ -140,13 +140,13 @@ def check_model_fd(trials: int = 20, seed: int = 2) -> CheckResult:
                 logits = model.classify(p, z)
                 return (
                     losses.bce_loss(logits, labels).value
-                    + lam * contrast.contrastive_loss(z, labels)
+                    + lam * contrast.contrastive_loss_and_gradient(z, labels)[0]
                 )
 
             z, cache = model.embed_forward(params, x)
             logits = model.classify(params, z)
             grad_logits = losses.bce_loss(logits, labels).grad_logits
-            grad_z = lam * contrast.contrastive_gradient(z, labels)
+            grad_z = lam * contrast.contrastive_loss_and_gradient(z, labels)[1]
             grads = model.backward(params, cache, grad_logits, grad_z)
 
             for arr, g in zip(params.arrays(), params.views(grads)):
@@ -201,7 +201,7 @@ def check_nonnegativity(trials: int = 1000, seed: int = 4) -> CheckResult:
         c = int(rng.integers(1, 6))
         z = rng.normal(size=(n, d))
         labels = _labels_with_positive_rows(rng, n, c)
-        value = contrast.contrastive_loss(z, labels)
+        value = contrast.contrastive_loss_and_gradient(z, labels)[0]
         worst = min(worst, value)
         if value < -1e-8:
             violations += 1

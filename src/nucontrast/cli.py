@@ -21,6 +21,7 @@ from . import checks, data, metrics, model, trainer
 from .contrast import CorrectionConfig
 from .data import DatasetFormatError, MissingnessSpec
 from .fileio import atomic_write
+from .seeding import check_seed
 
 
 class UsageError(Exception):
@@ -134,6 +135,7 @@ CHECKS = (
 
 def _read_config(path) -> dict[str, str]:
     mapping = {}
+    seen = {}  # key -> line number
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()
@@ -146,7 +148,11 @@ def _read_config(path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        mapping[key.strip()] = value.strip()
+        key = key.strip()
+        if key in seen:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
+        mapping[key] = value.strip()
     return mapping
 
 
@@ -244,6 +250,7 @@ def _run_checks(args, runner) -> int:
     v = _values(CHECKS, args)
     with _library_rules():
         checks.check_trials(v["trials"])
+        check_seed(v["seed"])
     results = runner(v["trials"], v["seed"])
     for result in results:
         print(result.line())

@@ -52,8 +52,10 @@ def check_correction_threshold(threshold) -> None:
 
 def check_probs(probs: np.ndarray) -> None:
     """Require every entry of a validated probability matrix to lie in [0, 1]."""
-    if probs.min() < 0.0 or probs.max() > 1.0:
-        raise ValueError("probs entries must lie in [0, 1]")
+    lo, hi = probs.min(), probs.max()
+    if lo < 0.0 or hi > 1.0:
+        bad = float(lo if lo < 0.0 else hi)
+        raise ValueError(f"probs entries must lie in [0, 1], got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -86,36 +88,21 @@ def _check_pair(z, labels):
         warnings.warn(
             "some rows have no positive label; loss nonnegativity is not "
             "guaranteed for them",
-            stacklevel=4,
+            stacklevel=3,
         )
     return z, pos
-
-
-def contrastive_loss(z, labels) -> float:
-    """Per-class nuclear norms of the embedding minus the whole-batch norm."""
-    value, _ = _loss_and_gradient(z, labels, DEFAULT_SV_THRESHOLD)
-    return value
-
-
-def contrastive_gradient(z, labels, sv_threshold: float = DEFAULT_SV_THRESHOLD) -> np.ndarray:
-    """Descent direction of the contrastive loss with respect to ``z``.
-
-    Each class contributes the nuclear-norm subgradient of its positive-row
-    submatrix, scattered back to the source rows (other rows padded with
-    zeros); the whole-batch subgradient is subtracted at the end.
-    """
-    _, grad = _loss_and_gradient(z, labels, sv_threshold)
-    return grad
 
 
 def contrastive_loss_and_gradient(
     z, labels, sv_threshold: float = DEFAULT_SV_THRESHOLD
 ) -> tuple[float, np.ndarray]:
-    """Loss and gradient from one SVD per submatrix (the training hot path)."""
-    return _loss_and_gradient(z, labels, sv_threshold)
+    """Per-class nuclear norms of the embedding minus the whole-batch norm,
+    and the loss's descent direction with respect to ``z``.
 
-
-def _loss_and_gradient(z, labels, sv_threshold):
+    Each class contributes the nuclear-norm subgradient of its positive-row
+    submatrix, scattered back to the source rows (other rows padded with
+    zeros); the whole-batch subgradient is subtracted at the end.
+    """
     z, pos = _check_pair(z, labels)
     check_sv_threshold(sv_threshold)
 

@@ -38,7 +38,6 @@ class Dataset:
     features: np.ndarray          # N x F float64
     truth: np.ndarray             # N x C in {-1, +1}
     observed: np.ndarray          # N x C in {-1, +1}
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         self.features = as_matrix(self.features, "features")
@@ -107,9 +106,9 @@ def generate_synthetic(
             f"all counts must be >= 1, got {n_samples=} {n_classes=} {n_features=} {n_groups=}"
         )
     if n_groups > n_classes:
-        raise ValueError("n_groups must not exceed n_classes")
+        raise ValueError(f"n_groups must not exceed n_classes, got {n_groups=} {n_classes=}")
     if not 0.0 <= noise <= 4.0:
-        raise ValueError("noise must be in [0, 4]")
+        raise ValueError(f"noise must be in [0, 4], got {noise!r}")
     rng = component_rng(seed, "data")
 
     chain = rng.permutation(n_classes)  # chain[j] implies chain[j-1] implies ...

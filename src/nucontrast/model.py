@@ -29,6 +29,11 @@ from .linalg import DimensionError
 
 OUTPUT_ACTIVATIONS = ("linear", "softplus", "softplus_unit")
 
+# Adam's moment decays and denominator guard (Kingma & Ba, arXiv:1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def check_activation(output_activation) -> None:
     if output_activation not in OUTPUT_ACTIVATIONS:
@@ -40,6 +45,12 @@ def check_activation(output_activation) -> None:
 def check_decay(decay) -> None:
     if not 0.0 <= decay < 1.0:
         raise ValueError(f"EMA decay must be in [0, 1), got {decay!r}")
+
+
+def check_layer_dims(layer_dims) -> None:
+    """Require (F, H1, ..., D): at least an input and an output width, each >= 1."""
+    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
+        raise ValueError(f"layer_dims must have >= 2 entries, each >= 1, got {layer_dims!r}")
 
 
 @dataclass
@@ -141,8 +152,9 @@ def init_params(
     random spread of an arbitrary initial logit.
     """
     dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2 or any(d < 1 for d in dims) or n_classes < 1:
-        raise ValueError("layer_dims needs >= 2 positive entries and n_classes >= 1")
+    check_layer_dims(dims)
+    if n_classes < 1:
+        raise ValueError(f"n_classes must be >= 1, got {n_classes!r}")
     check_activation(output_activation)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -247,16 +259,9 @@ def init_adam(params: ModelParams) -> AdamState:
     return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def adam_step(
-    params: ModelParams,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One bias-corrected Adam update, in place on ``params`` and ``state``.
+def adam_step(params: ModelParams, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update with the ``ADAM_*`` constants, in place
+    on ``params`` and ``state``.
 
     ``grads`` is a vector with the layout of ``params.flat``, as ``backward``
     returns it.
@@ -267,14 +272,14 @@ def adam_step(
         )
     state.step += 1
     t = state.step
-    correction1 = 1.0 - beta1**t
-    correction2 = 1.0 - beta2**t
+    correction1 = 1.0 - ADAM_BETA1**t
+    correction2 = 1.0 - ADAM_BETA2**t
     m, v = state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * grads
-    v *= beta2
-    v += (1.0 - beta2) * grads * grads
-    params.flat -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    params.flat -= lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
 
 
 def ema_update(ema_params: ModelParams, params: ModelParams, decay: float) -> None:

@@ -14,6 +14,11 @@ _COMPONENTS = {
 }
 
 
+def check_seed(seed) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+
+
 def component_rng(seed: int, component: str) -> np.random.Generator:
     """Generator for a named component, decorrelated from the other components.
 
@@ -21,6 +26,7 @@ def component_rng(seed: int, component: str) -> np.random.Generator:
     e.g. changing how many samples the data stream consumes never perturbs
     model initialization.
     """
+    check_seed(seed)
     try:
         key = _COMPONENTS[component]
     except KeyError:

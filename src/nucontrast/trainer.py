@@ -21,7 +21,7 @@ from .data import Dataset
 from .linalg import DEFAULT_SV_THRESHOLD, check_sv_threshold
 from .metrics import MetricsReport
 from .model import ModelParams
-from .seeding import component_rng
+from .seeding import check_seed, component_rng
 
 
 @dataclass
@@ -35,9 +35,6 @@ class TrainConfig:
     loss_kind: str = "bce"
     focal_gamma: float = 2.0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 20
     batch_size: int = 64
     seed: int = 0
@@ -59,6 +56,9 @@ class TrainConfig:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
         if self.ema_decay is not None:
             model.check_decay(self.ema_decay)
+        if self.layer_dims is not None:
+            model.check_layer_dims(self.layer_dims)
+        check_seed(self.seed)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
         check_sv_threshold(self.sv_threshold)
@@ -131,9 +131,7 @@ def split_dataset(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset,
     perm = component_rng(seed, "split").permutation(ds.n_samples)
     val_idx = np.sort(perm[:n_val])
     train_idx = np.sort(perm[n_val:])
-    pick = lambda idx: Dataset(
-        ds.features[idx], ds.truth[idx], ds.observed[idx], ds.class_names
-    )
+    pick = lambda idx: Dataset(ds.features[idx], ds.truth[idx], ds.observed[idx])
     return pick(train_idx), pick(val_idx)
 
 
@@ -193,9 +191,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
                     f"non-finite loss at epoch {epoch}, batch {n_batches}"
                 )
             grads = model.backward(params, cache, grad_logits, grad_z)
-            model.adam_step(
-                params, grads, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps
-            )
+            model.adam_step(params, grads, state, cfg.lr)
             if ema is not None:
                 model.ema_update(ema, params, cfg.ema_decay)
 

@@ -128,7 +128,7 @@ def reference_train(ds, cfg):
             cls_value, c_value, grad_logits, grad_z = _batch_terms(logits, z, effective, cfg)
             assert math.isfinite(cls_value + cfg.lambda_ * c_value)
             grads = model.backward(params, cache, grad_logits, grad_z)
-            model.adam_step(params, grads, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+            model.adam_step(params, grads, state, cfg.lr)
             if ema is not None:
                 model.ema_update(ema, params, cfg.ema_decay)
             cls_sum += cls_value * batch.size

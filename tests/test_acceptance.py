@@ -126,7 +126,7 @@ def test_criterion_4_loss_nonnegativity():
         c = int(rng.integers(1, 6))
         z = rng.normal(size=(n, d))
         labels = labels_with_positive_rows(rng, n, c)
-        value = contrast.contrastive_loss(z, labels)
+        value = contrast.contrastive_loss_and_gradient(z, labels)[0]
         worst = min(worst, value)
         violations += value < -1e-8
     print(
@@ -161,14 +161,15 @@ def test_criterion_5_end_to_end_gradients():
         def objective(p):
             zz, _ = model.embed_forward(p, x)
             logits = model.classify(p, zz)
-            return losses.bce_loss(logits, labels).value + contrast.contrastive_loss(
-                zz, labels
+            return (
+                losses.bce_loss(logits, labels).value
+                + contrast.contrastive_loss_and_gradient(zz, labels)[0]
             )
 
         z, cache = model.embed_forward(params, x)
         logits = model.classify(params, z)
         grad_logits = losses.bce_loss(logits, labels).grad_logits
-        grad_z = contrast.contrastive_gradient(z, labels)
+        grad_z = contrast.contrastive_loss_and_gradient(z, labels)[1]
         grads = model.backward(params, cache, grad_logits, grad_z)
         for arr, g in zip(params.arrays(), params.views(grads)):
             flat = arr.ravel()

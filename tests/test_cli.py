@@ -70,6 +70,27 @@ def test_fractional_seed_in_config_is_usage_error(tmp_path, capsys, command):
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "gradcheck", "selftest"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    argv = quiet_argv(command, tmp_path) if command == "simulate" else [command]
+    assert run(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: seed must be >= 0, got -1\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, key", [("simulate", "seed"), ("train", "seed"), ("eval", "threshold")])
+def test_repeated_config_key_is_usage_error(tmp_path, capsys, command, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# {key} given twice\n{key} = 0\n\n{key} = 1\n")
+    assert run(quiet_argv(command, tmp_path) + ["--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {config}:4: config key '{key}' repeats line 2\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def readme_simulate_argv():
     """Arguments of the README's quick-start ``nucontrast simulate`` line, as printed."""
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -273,6 +294,10 @@ class TestTrain:
         ("epochs", "--epochs", "0", "epochs must be >= 1, got 0"),
         ("batch_size", "--batch-size", "1", "batch_size must be >= 2, got 1"),
         ("start_epoch", "--start-epoch", "0", "start_epoch must be >= 1, got 0"),
+        ("dims", "--dims", "8,0,4", "layer_dims must have >= 2 entries, each >= 1, got (8, 0, 4)"),
+        ("dims", "--dims", "8", "got (8,)"),
+        ("dims", "--dims", "8,-3,4", "got (8, -3, 4)"),
+        ("seed", "--seed", "-1", "seed must be >= 0, got -1"),
     ]
 
     @pytest.mark.parametrize("key, flag, value, shown", BAD_VALUES)
@@ -402,12 +427,13 @@ class TestChecks:
         assert captured.out == ""
 
     def test_negated_gradient_detected(self, capsys, monkeypatch):
-        true_grad = contrast.contrastive_gradient
-        monkeypatch.setattr(
-            checks.contrast,
-            "contrastive_gradient",
-            lambda *a, **k: -true_grad(*a, **k),
-        )
+        true_loss_and_grad = contrast.contrastive_loss_and_gradient
+
+        def negated_gradient(*args):
+            value, grad = true_loss_and_grad(*args)
+            return value, -grad
+
+        monkeypatch.setattr(checks.contrast, "contrastive_loss_and_gradient", negated_gradient)
         assert run(["gradcheck", "--trials", "5", "--seed", "0"]) == 1
         assert capsys.readouterr().out.strip().endswith("FAIL")
 

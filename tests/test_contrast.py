@@ -11,8 +11,6 @@ from nucontrast.losses import bce_loss
 from nucontrast.contrast import (
     CorrectionConfig,
     as_label_matrix,
-    contrastive_gradient,
-    contrastive_loss,
     contrastive_loss_and_gradient,
     correct_labels,
     effective_labels,
@@ -65,27 +63,29 @@ class TestClassSubmatrix:
 class TestContrastiveLoss:
     def test_single_class_cancels_exactly(self):
         z = np.random.default_rng(0).normal(size=(5, 3))
-        assert contrastive_loss(z, np.ones((5, 1), dtype=int)) == 0.0
+        assert contrastive_loss_and_gradient(z, np.ones((5, 1), dtype=int))[0] == 0.0
 
     def test_identity_two_singletons(self):
         labels = np.array([[1, -1], [-1, 1]])
-        assert contrastive_loss(np.eye(2), labels) == pytest.approx(0.0, abs=1e-12)
+        value = contrastive_loss_and_gradient(np.eye(2), labels)[0]
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_rank_one_embedding(self):
         z = np.array([[1.0, 0.0], [1.0, 0.0]])
         labels = np.array([[1, -1], [-1, 1]])
         expected = 2.0 - np.sqrt(2.0)
-        assert contrastive_loss(z, labels) == pytest.approx(expected, abs=1e-12)
+        value = contrastive_loss_and_gradient(z, labels)[0]
+        assert value == pytest.approx(expected, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            contrastive_loss(np.zeros((3, 2)), np.ones((2, 1), dtype=int))
+            contrastive_loss_and_gradient(np.zeros((3, 2)), np.ones((2, 1), dtype=int))[0]
 
     def test_warns_on_row_without_positive(self):
         z = np.random.default_rng(1).normal(size=(3, 2))
         labels = np.array([[1], [-1], [1]])
         with pytest.warns(UserWarning):
-            contrastive_loss(z, labels)
+            contrastive_loss_and_gradient(z, labels)[0]
 
     def test_nonnegative_when_rows_covered(self):
         rng = np.random.default_rng(2)
@@ -93,7 +93,7 @@ class TestContrastiveLoss:
             n, d, c = rng.integers(2, 13), rng.integers(1, 7), rng.integers(1, 6)
             z = rng.normal(size=(n, d))
             labels = labels_with_positive_rows(rng, n, c)
-            assert contrastive_loss(z, labels) >= -1e-8
+            assert contrastive_loss_and_gradient(z, labels)[0] >= -1e-8
 
     def test_stack_inequality(self):
         rng = np.random.default_rng(3)
@@ -110,13 +110,13 @@ class TestContrastiveLoss:
 class TestContrastiveGradient:
     def test_single_class_cancels(self):
         z = np.random.default_rng(4).normal(size=(5, 3))
-        g = contrastive_gradient(z, np.ones((5, 1), dtype=int))
+        g = contrastive_loss_and_gradient(z, np.ones((5, 1), dtype=int))[1]
         assert np.abs(g).max() == 0.0
 
     def test_identity_disjoint_singletons(self):
         n = 4
         labels = (2 * np.eye(n) - 1).astype(int)
-        g = contrastive_gradient(np.eye(n), labels)
+        g = contrastive_loss_and_gradient(np.eye(n), labels)[1]
         assert np.abs(g).max() < 1e-9
 
     def test_full_membership_scales_subgradient(self):
@@ -125,7 +125,7 @@ class TestContrastiveGradient:
         rng = np.random.default_rng(5)
         z = rng.normal(size=(6, 3))
         labels = np.ones((6, 4), dtype=int)
-        g = contrastive_gradient(z, labels)
+        g = contrastive_loss_and_gradient(z, labels)[1]
         expected = 3.0 * linalg.nuclear_subgradient(z)
         assert np.abs(g - expected).max() < 1e-9
 
@@ -148,12 +148,12 @@ class TestContrastiveGradient:
             ):
                 continue
             checked += 1
-            grad = contrastive_gradient(z, labels)
+            grad = contrastive_loss_and_gradient(z, labels)[1]
             w = rng.normal(size=z.shape)
             h = 1e-5
             fd = (
-                contrastive_loss(z + h * w, labels)
-                - contrastive_loss(z - h * w, labels)
+                contrastive_loss_and_gradient(z + h * w, labels)[0]
+                - contrastive_loss_and_gradient(z - h * w, labels)[0]
             ) / (2 * h)
             dot = float((grad * w).sum())
             assert abs(fd - dot) / max(abs(fd), abs(dot), 1e-6) < 1e-3
@@ -163,11 +163,12 @@ class TestContrastiveGradient:
         z = rng.normal(size=(6, 4))
         labels = labels_with_positive_rows(rng, 6, 3)
         perm = rng.permutation(6)
-        g = contrastive_gradient(z, labels)
-        g_perm = contrastive_gradient(z[perm], labels[perm])
+        g = contrastive_loss_and_gradient(z, labels)[1]
+        g_perm = contrastive_loss_and_gradient(z[perm], labels[perm])[1]
         assert np.abs(g_perm - g[perm]).max() < 1e-9
         assert abs(
-            contrastive_loss(z[perm], labels[perm]) - contrastive_loss(z, labels)
+            contrastive_loss_and_gradient(z[perm], labels[perm])[0]
+            - contrastive_loss_and_gradient(z, labels)[0]
         ) < 1e-9
 
     def test_combined_matches_separate_calls(self):
@@ -175,8 +176,8 @@ class TestContrastiveGradient:
         z = rng.normal(size=(7, 4))
         labels = labels_with_positive_rows(rng, 7, 3)
         value, grad = contrastive_loss_and_gradient(z, labels, 1e-6)
-        assert value == contrastive_loss(z, labels)
-        assert np.array_equal(grad, contrastive_gradient(z, labels, 1e-6))
+        assert value == contrastive_loss_and_gradient(z, labels)[0]
+        assert np.array_equal(grad, contrastive_loss_and_gradient(z, labels, 1e-6)[1])
 
     def test_loss_is_the_sum_of_nuclear_norms(self):
         rng = np.random.default_rng(24)
@@ -188,20 +189,20 @@ class TestContrastiveGradient:
                 if (labels[:, k] == 1).any():
                     expected += linalg.nuclear_norm(z[labels[:, k] == 1])
             expected -= linalg.nuclear_norm(z)
-            assert contrastive_loss(z, labels) == expected
+            assert contrastive_loss_and_gradient(z, labels)[0] == expected
 
     def test_zero_width_embedding_is_zero(self):
         z = np.zeros((3, 0))
         labels = np.ones((3, 2), dtype=int)
         value, grad = contrastive_loss_and_gradient(z, labels)
-        assert value == 0.0 == contrastive_loss(z, labels)
+        assert value == 0.0 == contrastive_loss_and_gradient(z, labels)[0]
         assert grad.shape == (3, 0)
 
     def test_empty_class_skipped(self):
         z = np.random.default_rng(9).normal(size=(3, 2))
         labels = np.array([[1, -1], [1, -1], [1, -1]])
         # class 1 empty: loss reduces to the single-class case
-        assert contrastive_loss(z, labels) == 0.0
+        assert contrastive_loss_and_gradient(z, labels)[0] == 0.0
 
 
 def structured_embedding(rng, n, d, decay):
@@ -270,13 +271,10 @@ class TestMatchesReferenceLoop:
             counts = (labels == 1).sum(axis=0)
             assert shapes == [(int(m), 4) for m in counts[counts > 0]] + [(n, 4)]
 
-    @pytest.mark.parametrize(
-        "fn", [contrastive_loss, contrastive_gradient, contrastive_loss_and_gradient]
-    )
-    def test_warning_points_at_the_caller(self, fn):
+    def test_warning_points_at_the_caller(self):
         z = np.random.default_rng(24).normal(size=(3, 2))
         with pytest.warns(UserWarning, match="no positive label") as record:
-            fn(z, np.array([[1], [-1], [1]]))
+            contrastive_loss_and_gradient(z, np.array([[1], [-1], [1]]))
         assert record[0].filename == __file__
 
 
@@ -333,6 +331,13 @@ class TestLabelCorrection:
             correct_labels(np.array([[-1]]), np.array([[0.5]]), 1.0)
         with pytest.raises(DimensionError):
             correct_labels(np.array([[-1]]), np.array([[0.5, 0.5]]), 0.6)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1])
+    def test_probs_message_names_the_value(self, bad):
+        probs = np.array([[0.5, bad]])
+        with pytest.raises(ValueError) as caught:
+            correct_labels(np.array([[1, -1]]), probs, 0.6)
+        assert str(caught.value) == f"probs entries must lie in [0, 1], got {bad!r}"
 
 
 class TestEffectiveLabels:

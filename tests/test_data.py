@@ -66,6 +66,18 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_synthetic(10, 4, 4, 2, 5.0, seed=0)  # noise out of range
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((10, 4, 4, 5, 0.1), "n_groups must not exceed n_classes, got n_groups=5 n_classes=4"),
+            ((10, 4, 4, 2, 5.0), "noise must be in [0, 4], got 5.0"),
+        ],
+    )
+    def test_range_message_names_the_value(self, args, message):
+        with pytest.raises(ValueError) as caught:
+            generate_synthetic(*args, seed=0)
+        assert str(caught.value) == message
+
 
 class TestDropLabels:
     def test_single_label_average_is_exactly_one(self):

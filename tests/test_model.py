@@ -132,14 +132,15 @@ class TestBackward:
         def objective(p):
             z, _ = embed_forward(p, x)
             logits = classify(p, z)
-            return losses.bce_loss(logits, labels).value + contrast.contrastive_loss(
-                z, labels
+            return (
+                losses.bce_loss(logits, labels).value
+                + contrast.contrastive_loss_and_gradient(z, labels)[0]
             )
 
         z, cache = embed_forward(params, x)
         logits = classify(params, z)
         grad_logits = losses.bce_loss(logits, labels).grad_logits
-        grad_z = contrast.contrastive_gradient(z, labels)
+        grad_z = contrast.contrastive_loss_and_gradient(z, labels)[1]
         grads = backward(params, cache, grad_logits, grad_z)
         step = 1e-5
         for arr, g in zip(params.arrays(), params.views(grads)):
@@ -195,7 +196,7 @@ class TestAdam:
         before = params.weights[0].copy()
         grads = np.zeros_like(params.flat)
         params.views(grads)[0][...] = 3.0
-        adam_step(params, grads, init_adam(params), lr=1e-3, eps=1e-8)
+        adam_step(params, grads, init_adam(params), lr=1e-3)
         delta = before - params.weights[0]
         assert np.allclose(delta, 1e-3, rtol=1e-6)
 
@@ -244,7 +245,7 @@ class TestFlatUpdatesBitExact:
         rng = np.random.default_rng(32)
         for step in range(1, 7):
             grads = rng.normal(size=params.flat.shape) * 10.0 ** rng.integers(-3, 2)
-            adam_step(params, grads, state, 1e-2, 0.9, 0.999, 1e-8)
+            adam_step(params, grads, state, 1e-2)
             ema_update(ema, params, decay)
             reference_adam_step(
                 ref_p, [g.copy() for g in params.views(grads)], ref_m, ref_v,
@@ -410,6 +411,19 @@ class TestCheckpoint:
             init_params((4,), 2, rng)
         with pytest.raises(ValueError):
             init_params((4, 2), 2, rng, "relu")
+
+    @pytest.mark.parametrize(
+        "dims, n_classes, message",
+        [
+            ((4,), 2, "layer_dims must have >= 2 entries, each >= 1, got (4,)"),
+            ((8, 0, 4), 2, "layer_dims must have >= 2 entries, each >= 1, got (8, 0, 4)"),
+            ((4, 2), 0, "n_classes must be >= 1, got 0"),
+        ],
+    )
+    def test_init_params_message_names_the_value(self, dims, n_classes, message):
+        with pytest.raises(ValueError) as caught:
+            init_params(dims, n_classes, component_rng(0, "init"))
+        assert str(caught.value) == message
 
     def test_classifier_head_starts_at_zero(self):
         params = init_params((4, 3), 2, component_rng(1, "init"))

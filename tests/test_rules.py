@@ -8,6 +8,7 @@ same exception type and the same message.
 """
 
 import ast
+import dataclasses
 import math
 import textwrap
 from collections import defaultdict
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nucontrast import checks, linalg, metrics
+from nucontrast import checks, cli, linalg, metrics
 from nucontrast.contrast import (
     CorrectionConfig,
     as_label_matrix,
@@ -247,6 +248,26 @@ RULES = (
             "'relu'",
             id="activation=relu",
         ),
+        pytest.param(
+            [
+                lambda: component_rng(-1, "init"),
+                lambda: TrainConfig(seed=-1),
+                lambda: checks.run_gradcheck(1, -1),
+            ],
+            "got -1",
+            id="seed=-1",
+        ),
+    ]
+    + [
+        pytest.param(
+            [
+                lambda v=v: init_params(v, 2, component_rng(0, "init")),
+                lambda v=v: TrainConfig(layer_dims=v),
+            ],
+            repr(v),
+            id=f"layer_dims={v}",
+        )
+        for v in ((8, 0, 4), (8,), (8, -3, 4))
     ]
 )
 
@@ -260,3 +281,21 @@ def test_one_rule_one_message(entries, shown):
         outcomes.append((type(caught.value), str(caught.value)))
     assert len(set(outcomes)) == 1, outcomes
     assert shown in outcomes[0][1]
+
+
+def test_train_sets_every_train_config_field(tmp_path, monkeypatch, capsys):
+    # a field that no flag or config key reaches is a knob that nothing can set
+    built = []
+
+    def record(**kwargs):
+        built.append(kwargs)
+        return TrainConfig(**kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.trainer, "TrainConfig", record)
+    # the config is built before the data file is read, so a missing file is enough
+    assert cli.run(["train", "--data", "absent.txt"]) == 1
+    capsys.readouterr()
+    assert [set(kwargs) for kwargs in built] == [
+        {f.name for f in dataclasses.fields(TrainConfig)}
+    ]

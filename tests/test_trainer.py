@@ -61,15 +61,16 @@ class TestTotalLoss:
     def test_linear_composition(self):
         cls_value, c_value, _, grad_z = self.terms(small_config(lambda_=1.0))
         assert cls_value == losses.bce_loss(self.logits, self.labels).value
-        assert c_value == contrast.contrastive_loss(self.z, self.labels)
-        assert np.array_equal(grad_z, contrast.contrastive_gradient(self.z, self.labels))
+        value, grad = contrast.contrastive_loss_and_gradient(self.z, self.labels)
+        assert c_value == value
+        assert np.array_equal(grad_z, grad)
 
     def test_half_weight(self):
         cfg = small_config(lambda_=0.5)
         _, c_value, _, grad_z = self.terms(cfg)
         # the value term is unweighted; the trainer applies lambda to it
-        assert c_value == contrast.contrastive_loss(self.z, self.labels)
-        full = contrast.contrastive_gradient(self.z, self.labels, cfg.sv_threshold)
+        assert c_value == contrast.contrastive_loss_and_gradient(self.z, self.labels)[0]
+        full = contrast.contrastive_loss_and_gradient(self.z, self.labels, cfg.sv_threshold)[1]
         assert np.array_equal(grad_z, 0.5 * full)
 
     def test_focal_variant(self):
