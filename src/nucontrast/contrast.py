@@ -17,6 +17,7 @@ at a configured epoch.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,20 +78,40 @@ class CorrectionConfig:
 
 
 def _check_pair(z, labels):
-    """Validated embedding and the boolean mask of positive label slots."""
+    """Validated embedding and one row selector per present class.
+
+    The positive slots come from one ``nonzero`` over the transposed mask,
+    so they are sorted by class and then by row. Each class with a positive
+    row gets one selector, in ascending class order: a ``slice`` when its
+    rows form a contiguous run (always so at batch 2), else an index array
+    of its rows. Warns, at the caller's line, when some row has no positive.
+    """
     z = linalg.as_matrix(z, "embedding")
     pos = _positive_mask(labels)
-    if pos.shape[0] != z.shape[0]:
+    n_rows = z.shape[0]
+    if pos.shape[0] != n_rows:
         raise DimensionError(
-            f"embedding has {z.shape[0]} rows but labels has {pos.shape[0]}"
+            f"embedding has {n_rows} rows but labels has {pos.shape[0]}"
         )
-    if not pos.any(axis=1).all():
+    ks, rows = np.nonzero(pos.T)
+    ks, rs = ks.tolist(), rows.tolist()
+    if len(set(rs)) < n_rows:
         warnings.warn(
             "some rows have no positive label; loss nonnegativity is not "
             "guaranteed for them",
             stacklevel=3,
         )
-    return z, pos
+    selectors = []
+    start, end = 0, len(ks)
+    while start < end:
+        stop = bisect_right(ks, ks[start], start)
+        first, last = rs[start], rs[stop - 1]
+        if last - first == stop - 1 - start:  # rows ascend, so none is missing
+            selectors.append(slice(first, last + 1))
+        else:
+            selectors.append(rows[start:stop])
+        start = stop
+    return z, selectors
 
 
 def contrastive_loss_and_gradient(
@@ -99,26 +120,28 @@ def contrastive_loss_and_gradient(
     """Per-class nuclear norms of the embedding minus the whole-batch norm,
     and the loss's descent direction with respect to ``z``.
 
-    Each class contributes the nuclear-norm subgradient of its positive-row
-    submatrix, scattered back to the source rows (other rows padded with
-    zeros); the whole-batch subgradient is subtracted at the end.
+    Each class with a positive row contributes the nuclear-norm subgradient
+    of its positive-row block, added back onto those rows (a contiguous run
+    of rows is read and written through a view); the whole-batch subgradient
+    is subtracted at the end. One ``linalg.svd`` call per present class plus
+    one for the batch.
     """
-    z, pos = _check_pair(z, labels)
+    z, selectors = _check_pair(z, labels)
     check_sv_threshold(sv_threshold)
 
     value = 0.0
     grad = np.zeros(z.shape)
     if z.size == 0:
         return value, grad
-    # Fixed ascending-class accumulation order keeps results bit-stable;
-    # classes without a positive row contribute nothing and are skipped.
-    for k in np.logical_or.reduce(pos, axis=0).nonzero()[0].tolist():
-        rows = pos[:, k]
-        norm, sub = linalg._norm_and_subgradient(z[rows], sv_threshold)
+    # Every row accumulates its classes in ascending class order and then
+    # loses the batch term, which keeps results bit-stable.
+    for sel in selectors:
+        norm, sub = linalg._norm_and_subgradient(z[sel], sv_threshold)
         value += norm
-        grad[rows] += sub
+        grad[sel] += sub
     norm, sub = linalg._norm_and_subgradient(z, sv_threshold)
-    return value - norm, grad - sub
+    grad -= sub
+    return value - norm, grad
 
 
 def correct_labels(observed, probs, threshold: float) -> np.ndarray:

@@ -107,7 +107,18 @@ def nuclear_subgradient(a, sv_threshold: float = DEFAULT_SV_THRESHOLD) -> np.nda
 
 def _norm_and_subgradient(a, sv_threshold: float) -> tuple[float, np.ndarray]:
     """Nuclear norm of a nonempty ``a`` and its truncated subgradient
-    ``u1 @ v1.T``, from one call of this module's ``svd`` attribute."""
+    ``u1 @ v1.T``, from one call of this module's ``svd`` attribute.
+
+    A one-row ``a`` takes svd's closed form, where u is [[1.0]]: the norm is
+    s[0] and the subgradient is v.T, or zeros when the cut keeps nothing.
+    ``v.T + 0.0`` is the product's bytes exactly, since the product computes
+    0.0 + 1.0 * x, which is x except that -0.0 becomes +0.0.
+    """
     u, s, v = svd(a)
+    if u.shape[0] == 1:
+        norm = s[0]
+        if norm > sv_threshold * norm:
+            return float(norm), v.T + 0.0
+        return float(norm), np.zeros((1, v.shape[0]))
     r = np.count_nonzero(s > sv_threshold * s[0])  # s is nonincreasing
-    return float(s.sum()), u[:, :r] @ v[:, :r].T
+    return float(np.add.reduce(s)), u[:, :r] @ v[:, :r].T

@@ -15,6 +15,9 @@ _COMPONENTS = {
 
 
 def check_seed(seed) -> None:
+    """Require a nonnegative integer: an ``int`` or numpy integer, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
 

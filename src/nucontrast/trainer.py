@@ -24,9 +24,13 @@ from .model import ModelParams
 from .seeding import check_seed, component_rng
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Every knob of the training loop; defaults favor reproducibility."""
+    """Every knob of the training loop; defaults favor reproducibility.
+
+    Frozen, so every value is checked once, at construction;
+    ``dataclasses.replace`` builds a checked copy.
+    """
 
     lambda_: float = 1.0
     use_contrast: bool = True

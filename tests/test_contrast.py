@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from contrast_reference import reference_loss_and_gradient
+from contrast_reference import boolean_column_loss_and_gradient, reference_loss_and_gradient
 from nucontrast import linalg
 from nucontrast.losses import bce_loss
 from nucontrast.contrast import (
@@ -276,6 +276,86 @@ class TestMatchesReferenceLoop:
         with pytest.warns(UserWarning, match="no positive label") as record:
             contrastive_loss_and_gradient(z, np.array([[1], [-1], [1]]))
         assert record[0].filename == __file__
+
+
+def run_labels(rng, n, c):
+    """Rows in several classes, plus contiguous runs at the start, in the
+    middle and at the end, and a class that holds every row."""
+    labels = labels_with_positive_rows(rng, n, c, 0.3)
+    labels[:, :4] = -1
+    labels[: n // 8, 0] = 1
+    labels[n // 3 : n // 2, 1] = 1
+    labels[n - n // 5 :, 2] = 1
+    labels[:, 3] = 1
+    return labels
+
+
+def assert_same_bytes(z, labels, sv_threshold):
+    value, grad = contrastive_loss_and_gradient(z, labels, sv_threshold)
+    ref_value, ref_grad = boolean_column_loss_and_gradient(z, labels, sv_threshold)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    assert grad.dtype == ref_grad.dtype and grad.shape == ref_grad.shape
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+SV_THRESHOLDS = [1e-6, 0.3, 1.5]
+
+
+class TestBytesMatchBooleanColumnLoop:
+    """Row runs and views give the bytes of the boolean gather and scatter."""
+
+    @pytest.mark.parametrize("sv_threshold", SV_THRESHOLDS)
+    def test_batch_two_every_row_set(self, sv_threshold):
+        rng = np.random.default_rng([41, int(sv_threshold * 10)])
+        for trial in range(200):
+            z = rng.normal(size=(2, 16))
+            if trial % 4 == 0:
+                z[rng.integers(2)] = 0.0
+            labels = labels_with_positive_rows(rng, 2, 10, float(rng.choice([0.1, 0.5])))
+            assert_same_bytes(z, labels, sv_threshold)
+
+    @pytest.mark.parametrize("sv_threshold", SV_THRESHOLDS)
+    def test_batch_64_runs_and_scattered_rows(self, sv_threshold):
+        rng = np.random.default_rng([42, int(sv_threshold * 10)])
+        for _ in range(10):
+            z = structured_embedding(rng, 64, 32, float(rng.choice([0.9, 0.5])))
+            assert_same_bytes(z, run_labels(rng, 64, 10), sv_threshold)
+
+    @pytest.mark.parametrize("sv_threshold", SV_THRESHOLDS)
+    def test_class_holds_every_row(self, sv_threshold):
+        rng = np.random.default_rng([43, int(sv_threshold * 10)])
+        for n in (2, 5, 64):
+            assert_same_bytes(rng.normal(size=(n, 8)), np.ones((n, 3), dtype=int), sv_threshold)
+
+    @pytest.mark.parametrize("sv_threshold", SV_THRESHOLDS)
+    def test_zero_rows(self, sv_threshold):
+        assert_same_bytes(np.zeros((0, 16)), np.ones((0, 10), dtype=int), sv_threshold)
+
+    @pytest.mark.parametrize("sv_threshold", SV_THRESHOLDS)
+    def test_rows_without_a_positive(self, sv_threshold):
+        rng = np.random.default_rng([44, int(sv_threshold * 10)])
+        z = rng.normal(size=(64, 16))
+        labels = run_labels(rng, 64, 10)
+        labels[[5, 40, 63]] = -1
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert_same_bytes(z, labels, sv_threshold)
+        assert [(w.category, w.filename) for w in record] == [(UserWarning, __file__)]
+
+    @pytest.mark.parametrize("sv_threshold", SV_THRESHOLDS)
+    def test_norm_and_subgradient_is_the_prefix_product(self, sv_threshold):
+        # the one-row exit returns v.T, since the closed form's u is [[1.0]];
+        # it must keep the product's bytes, a negative zero included
+        rng = np.random.default_rng([45, int(sv_threshold * 10)])
+        blocks = [rng.normal(size=(1, 16)) for _ in range(10)]
+        blocks += [np.zeros((1, 16)), np.array([[-0.0, 3.0, -0.0, -4.0]])]
+        blocks += [structured_embedding(rng, n, d, 0.5) for n, d in ((2, 16), (5, 3), (64, 32))]
+        for a in blocks:
+            u, s, v = linalg.svd(a)
+            r = np.count_nonzero(s > sv_threshold * s[0])
+            norm, sub = linalg._norm_and_subgradient(a, sv_threshold)
+            assert np.float64(norm).tobytes() == s.sum().tobytes()
+            assert sub.tobytes() == (u[:, :r] @ v[:, :r].T).tobytes()
 
 
 class TestLabelCorrection:

@@ -261,6 +261,17 @@ RULES = (
     + [
         pytest.param(
             [
+                lambda v=v: component_rng(v, "init"),
+                lambda v=v: TrainConfig(seed=v),
+            ],
+            f"seed must be an integer, got {v!r}",
+            id=f"seed={v}",
+        )
+        for v in (1.7, True)
+    ]
+    + [
+        pytest.param(
+            [
                 lambda v=v: init_params(v, 2, component_rng(0, "init")),
                 lambda v=v: TrainConfig(layer_dims=v),
             ],

@@ -1,5 +1,6 @@
 """Training loop: objective composition, determinism, ablations, evaluation."""
 
+import dataclasses
 import math
 import sys
 from collections import Counter
@@ -162,6 +163,13 @@ class TestTrain:
         )
         _, history = train(ds, cfg_gated)
         assert all(e.corrected == 0 for e in history.epochs)
+
+    def test_config_is_frozen(self):
+        # a value assigned after construction would never be checked
+        cfg = TrainConfig(epochs=2, batch_size=16, lr=1e-3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.lr = -1.0
+        assert cfg.lr == 1e-3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
