@@ -54,22 +54,26 @@ def _labels_with_positive_rows(rng, n, c) -> np.ndarray:
     return labels
 
 
-def _fd_nuclear_gradient(a: np.ndarray, step: float) -> np.ndarray:
-    g = np.zeros_like(a)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            hi = a.copy()
-            lo = a.copy()
-            hi[i, j] += step
-            lo[i, j] -= step
-            g[i, j] = (linalg.nuclear_norm(hi) - linalg.nuclear_norm(lo)) / (2 * step)
-    return g
+def _central_differences(objective, arr: np.ndarray) -> np.ndarray:
+    """Central differences of the zero-argument ``objective`` over each entry
+    of the contiguous ``arr``, which is perturbed in place and restored."""
+    flat = arr.reshape(-1)  # a view, since arr is contiguous
+    fd = np.empty_like(flat)
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + FD_STEP
+        hi = objective()
+        flat[idx] = orig - FD_STEP
+        lo = objective()
+        flat[idx] = orig
+        fd[idx] = (hi - lo) / (2 * FD_STEP)
+    return fd.reshape(arr.shape)
 
 
-def check_subgradient_fd(trials: int = 200, seed: int = 0) -> CheckResult:
+def check_subgradient_fd(trials: int, seed: int) -> CheckResult:
     """Nuclear-norm subgradient against entrywise finite differences."""
     rng = component_rng(seed, "check")
-    worst = 0.0
+    errs = []
     for _ in range(trials):
         while True:
             m = int(rng.integers(2, 8))
@@ -78,9 +82,9 @@ def check_subgradient_fd(trials: int = 200, seed: int = 0) -> CheckResult:
             if _spectrum_ok(a):
                 break
         analytic = linalg.nuclear_subgradient(a)
-        fd = _fd_nuclear_gradient(a, FD_STEP)
-        err = np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-6)
-        worst = max(worst, err)
+        fd = _central_differences(lambda: linalg.nuclear_norm(a), a)
+        errs.append(np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-6))
+    worst = float(np.max(errs))  # NaN if any error is NaN
     return CheckResult("subgradient_fd", worst < 1e-4, worst, 1e-4)
 
 
@@ -94,10 +98,10 @@ def _contrast_instance_ok(z, labels) -> bool:
     return True
 
 
-def check_contrast_fd(trials: int = 200, seed: int = 1) -> CheckResult:
+def check_contrast_fd(trials: int, seed: int) -> CheckResult:
     """Directional finite differences of the contrastive loss vs its gradient."""
     rng = component_rng(seed, "check")
-    worst = 0.0
+    errs = []
     for _ in range(trials):
         while True:
             n = int(rng.integers(3, 9))
@@ -114,16 +118,16 @@ def check_contrast_fd(trials: int = 200, seed: int = 1) -> CheckResult:
             - contrast.contrastive_loss_and_gradient(z - FD_STEP * direction, labels)[0]
         ) / (2 * FD_STEP)
         analytic = float((grad * direction).sum())
-        err = abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-6)
-        worst = max(worst, err)
+        errs.append(abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-6))
+    worst = float(np.max(errs))
     return CheckResult("contrast_fd", worst < 1e-3, worst, 1e-3)
 
 
-def check_model_fd(trials: int = 20, seed: int = 2) -> CheckResult:
+def check_model_fd(trials: int, seed: int) -> CheckResult:
     """Total-objective parameter gradients vs central finite differences,
     ``trials`` instances for each output activation."""
     rng = component_rng(seed, "check")
-    worst = 0.0
+    errs = []
     lam = 1.0
     for activation in model.OUTPUT_ACTIVATIONS:
         for _ in range(trials):
@@ -135,9 +139,9 @@ def check_model_fd(trials: int = 20, seed: int = 2) -> CheckResult:
                 if _contrast_instance_ok(z, labels):
                     break
 
-            def objective(p):
-                z, _ = model.embed_forward(p, x)
-                logits = model.classify(p, z)
+            def objective():
+                z, _ = model.embed_forward(params, x)
+                logits = model.classify(params, z)
                 return (
                     losses.bce_loss(logits, labels).value
                     + lam * contrast.contrastive_loss_and_gradient(z, labels)[0]
@@ -150,26 +154,16 @@ def check_model_fd(trials: int = 20, seed: int = 2) -> CheckResult:
             grads = model.backward(params, cache, grad_logits, grad_z)
 
             for arr, g in zip(params.arrays(), params.views(grads)):
-                fd = np.zeros_like(arr)
-                flat = arr.ravel()
-                fd_flat = fd.ravel()
-                for idx in range(flat.size):
-                    orig = flat[idx]
-                    flat[idx] = orig + FD_STEP
-                    hi = objective(params)
-                    flat[idx] = orig - FD_STEP
-                    lo = objective(params)
-                    flat[idx] = orig
-                    fd_flat[idx] = (hi - lo) / (2 * FD_STEP)
-                err = np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-6)
-                worst = max(worst, err)
+                fd = _central_differences(objective, arr)
+                errs.append(np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-6))
+    worst = float(np.max(errs))
     return CheckResult("model_fd", worst < 1e-3, worst, 1e-3)
 
 
-def check_stack_inequality(trials: int = 1000, seed: int = 3) -> CheckResult:
+def check_stack_inequality(trials: int, seed: int) -> CheckResult:
     """Row-stack nuclear-norm inequality: |[A;B;C]|_* <= |[A;C]|_* + |[B;C]|_*."""
     rng = component_rng(seed, "check")
-    worst = -np.inf
+    gaps = []
     violations = 0
     for _ in range(trials):
         d = int(rng.integers(1, 7))
@@ -178,22 +172,22 @@ def check_stack_inequality(trials: int = 1000, seed: int = 3) -> CheckResult:
         lhs = linalg.nuclear_norm(np.vstack((a, b, c)))
         rhs = linalg.nuclear_norm(np.vstack((a, c))) + linalg.nuclear_norm(np.vstack((b, c)))
         gap = lhs - rhs
-        worst = max(worst, gap)
-        if gap > 1e-8:
+        gaps.append(gap)
+        if not gap <= 1e-8:  # a NaN gap is a violation
             violations += 1
     return CheckResult(
         "stack_inequality",
         violations == 0,
-        worst,
+        float(np.max(gaps)),
         1e-8,
         detail=f"{violations} violations in {trials} trials",
     )
 
 
-def check_nonnegativity(trials: int = 1000, seed: int = 4) -> CheckResult:
+def check_nonnegativity(trials: int, seed: int) -> CheckResult:
     """Contrastive loss >= 0 when every row has at least one positive label."""
     rng = component_rng(seed, "check")
-    worst = np.inf
+    values = []
     violations = 0
     for _ in range(trials):
         n = int(rng.integers(2, 13))
@@ -202,22 +196,22 @@ def check_nonnegativity(trials: int = 1000, seed: int = 4) -> CheckResult:
         z = rng.normal(size=(n, d))
         labels = _labels_with_positive_rows(rng, n, c)
         value = contrast.contrastive_loss_and_gradient(z, labels)[0]
-        worst = min(worst, value)
-        if value < -1e-8:
+        values.append(value)
+        if not value >= -1e-8:  # a NaN loss is a violation
             violations += 1
     return CheckResult(
         "loss_nonnegativity",
         violations == 0,
-        worst,
+        float(np.min(values)),
         -1e-8,
         detail=f"{violations} violations in {trials} trials",
     )
 
 
-def check_svd_reconstruction(trials: int = 200, seed: int = 5) -> CheckResult:
+def check_svd_reconstruction(trials: int, seed: int) -> CheckResult:
     """Reconstruction and orthonormality of the SVD."""
     rng = component_rng(seed, "check")
-    worst = 0.0
+    errs = []
     for _ in range(trials):
         m = int(rng.integers(1, 65))
         n = int(rng.integers(1, 33))
@@ -225,11 +219,10 @@ def check_svd_reconstruction(trials: int = 200, seed: int = 5) -> CheckResult:
         u, s, v = linalg.svd(a)
         recon = np.linalg.norm(u * s @ v.T - a) / max(np.linalg.norm(a), 1e-300)
         r = s.size
-        orth = max(
-            np.abs(u.T @ u - np.eye(r)).max(),
-            np.abs(v.T @ v - np.eye(r)).max(),
-        )
-        worst = max(worst, recon, orth)
+        orth_u = np.abs(u.T @ u - np.eye(r)).max()
+        orth_v = np.abs(v.T @ v - np.eye(r)).max()
+        errs += (recon, orth_u, orth_v)
+    worst = float(np.max(errs))
     return CheckResult("svd_reconstruction", worst < 1e-9, worst, 1e-9)
 
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from . import checks, data, metrics, model, trainer
 from .contrast import CorrectionConfig
-from .data import DatasetFormatError, MissingnessSpec
+from .data import MissingnessSpec
 from .fileio import atomic_write
 from .seeding import check_seed
 
@@ -232,11 +232,7 @@ def cmd_eval(args) -> int:
     threshold = v["threshold"]
     with _library_rules():
         metrics.check_threshold(threshold)
-    try:
-        params, ema = model.load_checkpoint(v["checkpoint"])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    params, ema = model.load_checkpoint(v["checkpoint"])
     ds = data.load_dataset(v["data"])
     if ema is not None:
         sys.stdout.write("raw\n")
@@ -315,7 +311,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetFormatError, ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

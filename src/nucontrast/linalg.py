@@ -22,7 +22,8 @@ class SvdResult(NamedTuple):
     """Thin SVD ``a = u @ diag(s) @ v.T`` with r = min(rows, cols).
 
     u is rows x r and v is cols x r, both with orthonormal columns; s is
-    nonincreasing and nonnegative.
+    nonincreasing and nonnegative. For a distinct singular value s[k], the
+    pair (u[:, k], v[:, k]) is unique only up to one common sign.
     """
 
     u: np.ndarray
@@ -55,11 +56,10 @@ def svd(a) -> SvdResult:
     A one-row matrix takes the exact closed form s = [||a||], u = [[1]],
     v = a.T / ||a||, with the norm from ``math.hypot`` (no overflow or
     underflow); a zero row gives s = [0] and v = e1, as LAPACK does. Any
-    other matrix goes through LAPACK.
-
-    Deterministic for a fixed input: the largest-magnitude entry of each u
-    column (the first one on ties) is made nonnegative, and v is flipped to
-    match. Raises numpy.linalg.LinAlgError if LAPACK does not converge.
+    other matrix returns LAPACK's factors as they are, so the sign of each
+    (u, v) column pair is LAPACK's. The package reads only s and products
+    u @ v.T, whose bytes do not depend on those signs. Raises
+    numpy.linalg.LinAlgError if LAPACK does not converge.
     """
     a = as_matrix(a)
     if a.size == 0:
@@ -73,13 +73,7 @@ def svd(a) -> SvdResult:
             v[0, 0] = 1.0
         return SvdResult(np.ones((1, 1)), np.array([norm]), v)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    # argmax along rows of u.T picks the same pivots as along the columns
-    # of u, without the transposed copy numpy makes for an axis-0 argmax
-    signs = np.copysign(1.0, u[np.abs(u.T).argmax(axis=1), np.arange(s.size)])
-    u *= signs
-    v = vh.T
-    v *= signs
-    return SvdResult(u, s, v)
+    return SvdResult(u, s, vh.T)
 
 
 def nuclear_norm(a) -> float:

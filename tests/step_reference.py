@@ -1,9 +1,9 @@
 """Reference forms of the training-step functions, written the plain way.
 
 The library computes the same values with fewer numpy passes: a boolean
-label mask instead of float labels, in-place adds, an argmax over ``u.T``,
-and one batch gather per epoch. Every rewrite rounds exactly as the form
-here, so the tests compare the two with ``tobytes()``, not a tolerance.
+label mask instead of float labels, in-place adds, and one batch gather per
+epoch. Every rewrite rounds exactly as the form here, so the tests compare
+the two with ``tobytes()``, not a tolerance.
 """
 
 import math
@@ -36,12 +36,6 @@ def reference_correct_labels(observed, probs, threshold):
     corrected = contrast.as_label_matrix(observed, "observed").copy()
     corrected[probs >= threshold] = 1
     return corrected
-
-
-def reference_signs(u):
-    """Sign that makes the largest-magnitude entry of each u column (the first
-    on ties) nonnegative, from an argmax along axis 0."""
-    return np.copysign(1.0, u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
 
 
 def reference_embed_forward(params, x):

@@ -47,15 +47,16 @@ def test_criterion_1_svd_correctness():
         a = rng.normal(size=(m, n))
         u, s, v = linalg.svd(a)
         scale = max(np.linalg.norm(a), 1e-300)
-        worst_recon = max(worst_recon, np.linalg.norm(u * s @ v.T - a) / scale)
+        # np.maximum and np.max keep a NaN, where the builtin max drops it
+        worst_recon = np.maximum(worst_recon, np.linalg.norm(u * s @ v.T - a) / scale)
         r = s.size
-        worst_orth = max(
+        worst_orth = np.max((
             worst_orth,
             np.abs(u.T @ u - np.eye(r)).max(),
             np.abs(v.T @ v - np.eye(r)).max(),
-        )
+        ))
         s_ref = jacobi_singular_values(a).sum()
-        worst_nn = max(worst_nn, abs(linalg.nuclear_norm(a) - s_ref) / max(s_ref, 1.0))
+        worst_nn = np.maximum(worst_nn, abs(linalg.nuclear_norm(a) - s_ref) / max(s_ref, 1.0))
     elapsed = time.time() - start
     ok = worst_recon < 1e-9 and worst_orth < 1e-9 and worst_nn < 1e-9 and elapsed < 30
     print(
@@ -87,7 +88,7 @@ def test_criterion_2_subgradient_finite_differences():
                 hi[i, j] += step
                 lo[i, j] -= step
                 fd[i, j] = (linalg.nuclear_norm(hi) - linalg.nuclear_norm(lo)) / (2 * step)
-        worst = max(worst, np.abs(analytic - fd).max() / np.abs(fd).max())
+        worst = np.maximum(worst, np.abs(analytic - fd).max() / np.abs(fd).max())
     elapsed = time.time() - start
     ok = worst < 1e-4 and elapsed < 30
     print(
@@ -107,8 +108,8 @@ def test_criterion_3_stack_inequality():
         a, b, c = (rng.normal(size=(int(rng.integers(1, 7)), d)) for _ in range(3))
         lhs = linalg.nuclear_norm(np.vstack((a, b, c)))
         rhs = linalg.nuclear_norm(np.vstack((a, c))) + linalg.nuclear_norm(np.vstack((b, c)))
-        worst = max(worst, lhs - rhs)
-        violations += lhs > rhs + 1e-8
+        worst = np.maximum(worst, lhs - rhs)
+        violations += not lhs <= rhs + 1e-8  # a NaN is a violation
     print(
         f"CRITERION 3 {'PASS' if violations == 0 else 'FAIL'}: 1000 stacked triples, "
         f"{violations} violations, worst slack {worst:.2e}"
@@ -127,8 +128,8 @@ def test_criterion_4_loss_nonnegativity():
         z = rng.normal(size=(n, d))
         labels = labels_with_positive_rows(rng, n, c)
         value = contrast.contrastive_loss_and_gradient(z, labels)[0]
-        worst = min(worst, value)
-        violations += value < -1e-8
+        worst = np.minimum(worst, value)
+        violations += not value >= -1e-8  # a NaN is a violation
     print(
         f"CRITERION 4 {'PASS' if violations == 0 else 'FAIL'}: 1000 instances, "
         f"{violations} violations, min loss {worst:.2e}"
@@ -182,7 +183,7 @@ def test_criterion_5_end_to_end_gradients():
                 lo = objective(params)
                 flat[idx] = orig
                 fd[idx] = (hi - lo) / (2 * step)
-            worst = max(worst, np.abs(g.ravel() - fd).max() / max(np.abs(fd).max(), 1e-6))
+            worst = np.maximum(worst, np.abs(g.ravel() - fd).max() / max(np.abs(fd).max(), 1e-6))
     rate = resamples / draws
     ok = worst < 1e-3 and rate < 0.10
     print(
@@ -249,8 +250,8 @@ def test_criterion_7_metrics_oracle():
         f1 = lambda p, r: 2 * p * r / (p + r) if p + r > 0 else 0.0
         want = (sum(per_class_ap) / 8, cp, cr, f1(cp, cr), op, orr, f1(op, orr))
         got = (rep.map, rep.cp, rep.cr, rep.cf1, rep.op, rep.or_, rep.of1)
-        worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
-        worst = max(worst, np.abs(rep.per_class_ap - per_class_ap).max())
+        worst = np.maximum(worst, np.abs(np.subtract(got, want)).max())
+        worst = np.maximum(worst, np.abs(rep.per_class_ap - per_class_ap).max())
     ok = worst < 1e-12
     print(f"CRITERION 7 {'PASS' if ok else 'FAIL'}: 100 reports, max |diff| {worst:.2e}")
     assert worst < 1e-12

@@ -451,6 +451,33 @@ class TestChecks:
         assert run(["gradcheck", "--trials", "5", "--seed", "0"]) == 1
         assert capsys.readouterr().out.strip().endswith("FAIL")
 
+    # check -> (command, module, attribute, fault): each fault makes one
+    # result NaN, which a max or a comparison would pass over silently
+    NAN_FAULTS = {
+        "subgradient_fd": ("gradcheck", checks.linalg, "nuclear_subgradient",
+                           lambda f: lambda *args: f(*args) * np.nan),
+        "contrast_fd": ("gradcheck", checks.contrast, "contrastive_loss_and_gradient",
+                        lambda f: lambda *args: (f(*args)[0], f(*args)[1] * np.nan)),
+        "model_fd": ("gradcheck", checks.model, "backward",
+                     lambda f: lambda *args: f(*args) * np.nan),
+        "stack_inequality": ("selftest", checks.linalg, "nuclear_norm",
+                             lambda f: lambda *args: np.nan),
+        "loss_nonnegativity": ("selftest", checks.contrast, "contrastive_loss_and_gradient",
+                               lambda f: lambda *args: (np.nan, f(*args)[1])),
+        "svd_reconstruction": ("selftest", checks.linalg, "svd",
+                               lambda f: lambda *args: f(*args)._replace(u=f(*args).u * np.nan)),
+    }
+
+    @pytest.mark.parametrize("check", list(NAN_FAULTS))
+    def test_nan_result_detected(self, capsys, monkeypatch, check):
+        command, module, name, fault = self.NAN_FAULTS[check]
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        assert run([command, "--trials", "5", "--seed", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "FAIL"
+        line = next(line for line in lines if line.split()[0] == check)
+        assert line.split()[2] == "nan" and "  FAIL" in line
+
     def test_deterministic_summary(self, capsys):
         assert run(["gradcheck", "--trials", "6", "--seed", "3"]) == 0
         first = capsys.readouterr().out

@@ -358,6 +358,70 @@ class TestBytesMatchBooleanColumnLoop:
             assert sub.tobytes() == (u[:, :r] @ v[:, :r].T).tobytes()
 
 
+def flip_lapack_signs(monkeypatch, seed):
+    """Make numpy.linalg.svd, as linalg calls it, return LAPACK's factors with
+    a random sign on each pair of a u column and a vh row; returns the list
+    of signs it drew."""
+    lapack_svd = np.linalg.svd
+    rng = np.random.default_rng(seed)
+    drawn = []
+
+    def flipped(a, full_matrices):
+        u, s, vh = lapack_svd(a, full_matrices=full_matrices)
+        signs = rng.choice([-1.0, 1.0], size=s.size)
+        u *= signs
+        vh *= signs[:, None]
+        drawn.extend(signs.tolist())
+        return u, s, vh
+
+    monkeypatch.setattr(linalg.np.linalg, "svd", flipped)
+    return drawn
+
+
+class TestSignsDoNotMatter:
+    """Every reader of the SVD uses s or products u @ v.T, whose bytes are
+    the same when a u column and its v column change sign together."""
+
+    def assert_same_bytes_when_flipped(self, monkeypatch, cases, sv_threshold):
+        want = [contrastive_loss_and_gradient(z, labels, sv_threshold) for z, labels in cases]
+        drawn = flip_lapack_signs(monkeypatch, 47)
+        for (z, labels), (value, grad) in zip(cases, want):
+            got_value, got_grad = contrastive_loss_and_gradient(z, labels, sv_threshold)
+            assert np.float64(got_value).tobytes() == np.float64(value).tobytes()
+            assert got_grad.tobytes() == grad.tobytes()
+        assert -1.0 in drawn and 1.0 in drawn
+
+    @pytest.mark.parametrize("sv_threshold", [1e-6, 0.3])
+    def test_batch_two_ten_classes(self, monkeypatch, sv_threshold):
+        rng = np.random.default_rng([48, int(sv_threshold * 10)])
+        cases = [
+            (rng.normal(size=(2, 16)), labels_with_positive_rows(rng, 2, 10, 0.3))
+            for _ in range(200)
+        ]
+        self.assert_same_bytes_when_flipped(monkeypatch, cases, sv_threshold)
+
+    @pytest.mark.parametrize("sv_threshold", [1e-6, 0.3])
+    def test_batch_64_scattered_rows(self, monkeypatch, sv_threshold):
+        rng = np.random.default_rng([49, int(sv_threshold * 10)])
+        cases = [
+            (structured_embedding(rng, 64, 32, float(rng.choice([0.9, 0.5]))),
+             run_labels(rng, 64, 10))
+            for _ in range(10)
+        ]
+        self.assert_same_bytes_when_flipped(monkeypatch, cases, sv_threshold)
+
+    @pytest.mark.parametrize("sv_threshold", [1e-6, 0.3])
+    def test_nuclear_subgradient(self, monkeypatch, sv_threshold):
+        rng = np.random.default_rng([50, int(sv_threshold * 10)])
+        blocks = [rng.normal(size=shape) for shape in ((2, 16), (16, 2), (6, 4), (64, 32))]
+        blocks += [structured_embedding(rng, 8, 4, 0.5)]
+        want = [linalg.nuclear_subgradient(a, sv_threshold) for a in blocks]
+        drawn = flip_lapack_signs(monkeypatch, 51)
+        for a, sub in zip(blocks, want):
+            assert linalg.nuclear_subgradient(a, sv_threshold).tobytes() == sub.tobytes()
+        assert -1.0 in drawn and 1.0 in drawn
+
+
 class TestLabelCorrection:
     def test_confident_negative_flips(self):
         got = correct_labels(np.array([[-1]]), np.array([[0.9]]), 0.6)
