@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contrast, linalg, losses, model
-from .seeding import component_rng
+from .seeding import check_count, component_rng
 
 FD_STEP = 1e-5
 SPECTRUM_MARGIN = 0.05  # min relative gap / smallest singular value accepted
@@ -247,8 +247,7 @@ def check_correction_table() -> CheckResult:
 
 def check_trials(trials: int) -> None:
     """Zero trials would pass without checking anything."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    check_count("trials", trials, 1)
 
 
 def run_gradcheck(trials: int, seed: int) -> list[CheckResult]:

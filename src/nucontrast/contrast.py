@@ -24,6 +24,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import DEFAULT_SV_THRESHOLD, DimensionError, check_2d, check_sv_threshold
+from .seeding import check_count
 
 
 def _positive_mask(labels, name: str = "labels") -> np.ndarray:
@@ -44,6 +45,15 @@ def as_label_matrix(labels, name: str = "labels") -> np.ndarray:
     """Require every entry to be -1 or +1, then copy to a 2-D int8 array."""
     _positive_mask(labels, name)
     return np.asarray(labels).astype(np.int8)
+
+
+def check_scored_labels(scores, labels, scores_name: str, labels_name: str):
+    """Scores checked by ``linalg.as_matrix``, and ``labels == 1`` for same-shape -1/+1 labels."""
+    scores = linalg.as_matrix(scores, scores_name)
+    pos = _positive_mask(labels, labels_name)
+    if scores.shape != pos.shape:
+        raise DimensionError(f"score shape {scores.shape} does not match label shape {pos.shape}")
+    return scores, pos
 
 
 def check_correction_threshold(threshold) -> None:
@@ -73,8 +83,7 @@ class CorrectionConfig:
 
     def __post_init__(self):
         check_correction_threshold(self.threshold)
-        if self.start_epoch < 1:
-            raise ValueError(f"start_epoch must be >= 1, got {self.start_epoch!r}")
+        check_count("start_epoch", self.start_epoch, 1)
 
 
 def _check_pair(z, labels):
@@ -150,13 +159,11 @@ def correct_labels(observed, probs, threshold: float) -> np.ndarray:
     Positives are never demoted, so the corrected positive set always
     contains the observed one.
     """
-    observed = as_label_matrix(observed, "observed")
-    probs = linalg.as_matrix(probs, "probs")
-    if probs.shape != observed.shape:
-        raise DimensionError("probs and observed shapes differ")
+    probs, _ = check_scored_labels(probs, observed, "probs", "observed")
     check_probs(probs)
     check_correction_threshold(threshold)
-    observed[probs >= threshold] = 1  # as_label_matrix returned a copy
+    observed = np.asarray(observed).astype(np.int8)
+    observed[probs >= threshold] = 1
     return observed
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .contrast import as_label_matrix
 from .fileio import atomic_write
 from .linalg import as_matrix
-from .seeding import component_rng
+from .seeding import check_count, check_seed, component_rng
 
 
 class DatasetFormatError(ValueError):
@@ -66,8 +66,9 @@ class Dataset:
 @dataclass(frozen=True)
 class MissingnessSpec:
     """How to hide positives: keep each with probability ``ratio`` (mode
-    "keep", with at least one survivor per row) or keep exactly one
-    uniformly chosen positive per row (mode "single")."""
+    "keep", conditioned on at least one survivor per row; see
+    ``drop_labels``) or keep exactly one uniformly chosen positive per row
+    (mode "single")."""
 
     mode: str
     ratio: float = 1.0
@@ -78,6 +79,7 @@ class MissingnessSpec:
             raise ValueError(f"mode must be 'keep' or 'single', got {self.mode!r}")
         if self.mode == "keep" and not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"keep ratio must be in (0, 1], got {self.ratio}")
+        check_seed(self.seed)
 
 
 def generate_synthetic(
@@ -101,10 +103,10 @@ def generate_synthetic(
     of scale ``noise``. The anchor is never flipped, so every row keeps a
     positive.
     """
-    if min(n_samples, n_classes, n_features, n_groups) < 1:
-        raise ValueError(
-            f"all counts must be >= 1, got {n_samples=} {n_classes=} {n_features=} {n_groups=}"
-        )
+    check_count("n_samples", n_samples, 1)
+    check_count("n_classes", n_classes, 1)
+    check_count("n_features", n_features, 1)
+    check_count("n_groups", n_groups, 1)
     if n_groups > n_classes:
         raise ValueError(f"n_groups must not exceed n_classes, got {n_groups=} {n_classes=}")
     if not 0.0 <= noise <= 4.0:
@@ -139,8 +141,13 @@ def drop_labels(truth, spec: MissingnessSpec) -> np.ndarray:
     """Observed labels after hiding positives per ``spec``.
 
     Rows are processed in order with a generator seeded from ``spec.seed``,
-    so the result is reproducible. A row that would lose all its positives in
-    "keep" mode has its survivor set redrawn until nonempty.
+    so the result is reproducible. In "keep" mode each positive of a row
+    survives with probability ``spec.ratio``. When that first draw keeps
+    nothing, one more draw comes from the same distribution conditioned on a
+    nonempty survivor set: the first survivor is the row's j-th positive
+    with probability proportional to (1 - ratio)**j, and each later positive
+    survives independently with probability ``ratio``. That is exact, and it
+    costs one draw where redrawing until nonempty costs about 1 / ratio.
     """
     truth = as_label_matrix(truth, "truth")
     _check_truth_rows(truth)
@@ -151,10 +158,13 @@ def drop_labels(truth, spec: MissingnessSpec) -> np.ndarray:
         if spec.mode == "single":
             observed[i, pos[rng.integers(pos.size)]] = 1
         else:
-            kept = pos[rng.random(pos.size) < spec.ratio]
-            while kept.size == 0:
-                kept = pos[rng.random(pos.size) < spec.ratio]
-            observed[i, kept] = 1
+            keep = rng.random(pos.size) < spec.ratio
+            if not keep.any():
+                weights = np.exp(np.arange(pos.size) * np.log1p(-spec.ratio))
+                first = rng.choice(pos.size, p=weights / weights.sum())
+                keep[first] = True
+                keep[first + 1:] = rng.random(pos.size - first - 1) < spec.ratio
+            observed[i, pos[keep]] = 1
     return observed
 
 

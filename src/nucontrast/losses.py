@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast import _positive_mask
-from .linalg import DimensionError, as_matrix
+from .contrast import check_scored_labels
 
 
 @dataclass(frozen=True)
@@ -40,20 +39,9 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def _check(logits, labels):
-    """Validated logits and the boolean mask of positive label slots."""
-    logits = as_matrix(logits, "logits")
-    pos = _positive_mask(labels)
-    if logits.shape != pos.shape:
-        raise DimensionError(
-            f"logits shape {logits.shape} does not match labels {pos.shape}"
-        )
-    return logits, pos
-
-
 def bce_loss(logits, labels) -> LossOutput:
     """Mean sigmoid binary cross-entropy; target is 1 for +1 labels, else 0."""
-    logits, pos = _check(logits, labels)
+    logits, pos = check_scored_labels(logits, labels, "logits", "labels")
     # -margin is -logit for a +1 label and logit for a -1 label; the sum over
     # size is what .mean() computes, and the bool target subtracts as 1.0/0.0
     sp = _softplus(np.where(pos, -logits, logits))
@@ -62,9 +50,14 @@ def bce_loss(logits, labels) -> LossOutput:
     return LossOutput(value, grad)
 
 
+def check_finite_nonnegative(name: str, value) -> None:
+    """The rule for the focal exponent and the structure-loss weight."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def check_gamma(gamma) -> None:
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError(f"focal gamma must be finite and >= 0, got {gamma!r}")
+    check_finite_nonnegative("focal gamma", gamma)
 
 
 def focal_loss(logits, labels, gamma: float = 2.0) -> LossOutput:
@@ -73,7 +66,7 @@ def focal_loss(logits, labels, gamma: float = 2.0) -> LossOutput:
     Reduces exactly to ``bce_loss`` at gamma = 0.
     """
     check_gamma(gamma)
-    logits, pos = _check(logits, labels)
+    logits, pos = check_scored_labels(logits, labels, "logits", "labels")
     y = np.where(pos, 1.0, -1.0)
     margins = y * logits
     pt = sigmoid(margins)          # probability assigned to the true target

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contrast import as_label_matrix, check_probs
-from .linalg import DimensionError, as_matrix
+from .contrast import check_probs, check_scored_labels
+from .linalg import DimensionError
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,11 @@ def check_threshold(threshold: float) -> None:
 def report(probs, truth, threshold: float = 0.5) -> MetricsReport:
     """Full metrics report for predicted probabilities against truth labels."""
     check_threshold(threshold)
-    probs = as_matrix(probs, "probs")
-    truth = as_label_matrix(truth, "truth")
-    if probs.shape != truth.shape:
-        raise DimensionError("probs and truth shapes differ")
+    probs, actual = check_scored_labels(probs, truth, "probs", "truth")
     check_probs(probs)
 
-    n_classes = truth.shape[1]
+    n_classes = actual.shape[1]
     pred = probs >= threshold
-    actual = truth == 1
 
     per_class_ap = np.full(n_classes, np.nan)
     precisions, recalls = [], []
@@ -95,7 +91,7 @@ def report(probs, truth, threshold: float = 0.5) -> MetricsReport:
         if not actual[:, k].any():
             skipped.append(k)
             continue
-        per_class_ap[k] = average_precision(probs[:, k], truth[:, k])
+        per_class_ap[k] = average_precision(probs[:, k], actual[:, k])
         tp = float((pred[:, k] & actual[:, k]).sum())
         n_pred = float(pred[:, k].sum())
         precisions.append(tp / n_pred if n_pred > 0 else 0.0)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .fileio import atomic_write
 from .linalg import DimensionError
+from .seeding import check_count, is_integer
 
 
 OUTPUT_ACTIVATIONS = ("linear", "softplus", "softplus_unit")
@@ -48,8 +49,8 @@ def check_decay(decay) -> None:
 
 
 def check_layer_dims(layer_dims) -> None:
-    """Require (F, H1, ..., D): at least an input and an output width, each >= 1."""
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
+    """Require (F, H1, ..., D): at least an input and an output width, each an integer >= 1."""
+    if len(layer_dims) < 2 or not all(is_integer(d) and d >= 1 for d in layer_dims):
         raise ValueError(f"layer_dims must have >= 2 entries, each >= 1, got {layer_dims!r}")
 
 
@@ -60,11 +61,14 @@ class ModelParams:
     ``layer_dims`` is (F, H1, ..., D): feature width, hidden widths,
     embedding width. ``weights[i]`` maps layer_dims[i] -> layer_dims[i+1].
 
-    Construction copies the given arrays into ``flat``, one float64 vector in
-    ``arrays()`` order, and rebinds every array field to a view of it. Writes
-    through either side show on the other. ``grad`` is a vector of the same
-    layout that ``backward`` overwrites. Both sets of views are built here,
-    once, so the training step builds none.
+    Construction checks ``layer_dims`` and ``output_activation`` with their
+    rules, the class count (the classifier bias's length) with the count
+    rule, and every array's shape against them. It then copies the arrays
+    into ``flat``, one float64 vector in ``arrays()`` order, and rebinds
+    every array field to a view of it. Writes through either side show on
+    the other. ``grad`` is a vector of the same layout that ``backward``
+    overwrites. Both sets of views are built here, once, so the training
+    step builds none.
     """
 
     layer_dims: tuple[int, ...]
@@ -77,6 +81,19 @@ class ModelParams:
     grad: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_layer_dims(self.layer_dims)
+        check_activation(self.output_activation)
+        n_layers = len(self.layer_dims) - 1
+        if len(self.weights) != n_layers or len(self.biases) != n_layers:
+            raise DimensionError(
+                f"layer_dims {self.layer_dims!r} needs {n_layers} weights and "
+                f"biases, got {len(self.weights)} and {len(self.biases)}"
+            )
+        n_classes = np.size(self.classifier_bias)
+        check_count("n_classes", n_classes, 1)
+        for (name, shape), a in zip(_layout(self.layer_dims, n_classes), self.arrays()):
+            if np.shape(a) != shape:
+                raise DimensionError(f"{name} must have shape {shape}, got {np.shape(a)}")
         self.flat = np.concatenate(
             [np.asarray(a, dtype=np.float64).ravel() for a in self.arrays()]
         )
@@ -151,11 +168,9 @@ def init_params(
     head has learned genuine confidence, instead of flipping labels off the
     random spread of an arbitrary initial logit.
     """
+    check_layer_dims(layer_dims)
+    check_count("n_classes", n_classes, 1)
     dims = tuple(int(d) for d in layer_dims)
-    check_layer_dims(dims)
-    if n_classes < 1:
-        raise ValueError(f"n_classes must be >= 1, got {n_classes!r}")
-    check_activation(output_activation)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -351,10 +366,12 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelParams | None]:
         if head[0] != "layer_dims" or len(head) < 3:
             raise ValueError("checkpoint: bad layer_dims header")
         dims = tuple(int(d) for d in head[1:])
+        check_layer_dims(dims)
         chead = lines[1].split()
         if chead[0] != "classes" or len(chead) != 2:
             raise ValueError("checkpoint: bad classes header")
         n_classes = int(chead[1])
+        check_count("n_classes", n_classes, 1)
         ahead = lines[2].split()
         if ahead[0] != "activation" or len(ahead) != 2 or ahead[1] not in OUTPUT_ACTIVATIONS:
             raise ValueError("checkpoint: bad activation header")

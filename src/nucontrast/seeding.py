@@ -1,4 +1,4 @@
-"""Named random streams: one user seed, independent generators per component."""
+"""Named random streams (one user seed, a generator per component) and the count rule."""
 
 from __future__ import annotations
 
@@ -14,12 +14,21 @@ _COMPONENTS = {
 }
 
 
+def is_integer(value) -> bool:
+    """An ``int`` or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """The rule for every count: an integer (``is_integer``) >= ``minimum``."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 def check_seed(seed) -> None:
-    """Require a nonnegative integer: an ``int`` or numpy integer, not a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    check_count("seed", seed, 0)
 
 
 def component_rng(seed: int, component: str) -> np.random.Generator:

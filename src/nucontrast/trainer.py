@@ -21,7 +21,7 @@ from .data import Dataset
 from .linalg import DEFAULT_SV_THRESHOLD, check_sv_threshold
 from .metrics import MetricsReport
 from .model import ModelParams
-from .seeding import check_seed, component_rng
+from .seeding import check_count, check_seed, component_rng
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,11 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        if not self.lambda_ >= 0:
-            raise ValueError(f"lambda_ must be >= 0, got {self.lambda_!r}")
+        losses.check_finite_nonnegative("lambda_", self.lambda_)
         if self.loss_kind not in ("bce", "focal"):
             raise ValueError(f"loss_kind must be 'bce' or 'focal', got {self.loss_kind!r}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size!r}")
+        check_count("epochs", self.epochs, 1)
+        check_count("batch_size", self.batch_size, 2)
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
         if self.ema_decay is not None:

@@ -161,6 +161,8 @@ class TestSimulate:
     )
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_count_is_usage_error(self, tmp_path, capsys, source, key, flag, value, shown):
+        # shown is "<count>=<value>" as the count rule names them
+        name, bad = shown.split("=")
         out = tmp_path / "d.txt"
         argv = ["simulate", "--out", str(out)]
         if source == "flag":
@@ -170,8 +172,7 @@ class TestSimulate:
             config.write_text(f"{key} = {value}\n")
             argv += ["--config", str(config)]
         assert run(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and shown in err
+        assert capsys.readouterr().err == f"usage error: {name} must be >= 1, got {bad}\n"
         assert not out.exists()
 
     def test_deterministic_bytes(self, tmp_path, capsys):
@@ -279,6 +280,7 @@ class TestTrain:
         ("loss", "--loss", "hinge", "'hinge'"),
         ("lambda_", "--lambda", "-1", "-1.0"),
         ("lambda_", "--lambda", "nan", "nan"),
+        ("lambda_", "--lambda", "inf", "lambda_ must be finite and >= 0, got inf"),
         ("delta", "--delta", "1.5", "1.5"),
         ("ema_decay", "--ema-decay", "1", "1.0"),
         ("val_fraction", "--val-fraction", "1", "1.0"),

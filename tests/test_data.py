@@ -1,5 +1,7 @@
 """Synthetic generation, missing-label simulation, and dataset file I/O."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,33 @@ class TestDropLabels:
             observed = drop_labels(ds.truth, spec)
             assert ((observed == 1) <= (ds.truth == 1)).all()
             assert ((observed == 1).sum(axis=1) >= 1).all()
+
+    def test_tiny_ratio_returns_at_once_with_one_positive_per_row(self):
+        # redrawing until a row keeps something would take about 1e300 draws
+        def too_slow(signum, frame):
+            raise TimeoutError("drop_labels did not return within 10 s")
+
+        truth = generate_synthetic(5, 4, 3, 2, 0.05, seed=0).truth
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(10)
+        try:
+            observed = drop_labels(truth, MissingnessSpec("keep", 1e-300, seed=0))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert ((observed == 1).sum(axis=1) == 1).all()
+        assert ((observed == 1) <= (truth == 1)).all()
+
+    def test_keep_is_conditioned_on_a_survivor(self):
+        # every row has 3 positives: each nonempty survivor set S has
+        # probability r^|S| (1-r)^(3-|S|) / (1 - (1-r)^3)
+        n, r = 20000, 0.2
+        observed = drop_labels(np.ones((n, 3), dtype=np.int8), MissingnessSpec("keep", r, seed=3))
+        sets, counts = np.unique(observed == 1, axis=0, return_counts=True)
+        assert len(sets) == 7 and sets.any(axis=1).all()
+        sizes = sets.sum(axis=1)
+        exact = r**sizes * (1 - r) ** (3 - sizes) / (1 - (1 - r) ** 3)
+        assert np.abs(counts / n - exact).max() < 0.015  # over 4 standard errors
 
     def test_reproducible(self):
         ds = generate_synthetic(100, 8, 4, 5, 0.5, seed=8)

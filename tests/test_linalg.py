@@ -90,7 +90,7 @@ class TestSvd:
             s_ref = jacobi_singular_values(a)
             assert np.abs(svd(a).s - s_ref).max() < 1e-9 * max(s_ref[0], 1.0)
 
-    def test_python_kernel_agrees(self):
+    def test_jacobi_oracle_agrees_with_lapack(self):
         """The Jacobi oracle itself agrees with LAPACK."""
         rng = np.random.default_rng(6)
         for _ in range(10):

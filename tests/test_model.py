@@ -325,6 +325,25 @@ class TestLayout:
         self.check_layout(loaded)
         self.check_layout(ema)
 
+    @pytest.mark.parametrize(
+        "dims, weights, activation, error, message",
+        [
+            # each would save a checkpoint that load_checkpoint refuses
+            ((3, 2), [np.ones((3, 2))], "relu", ValueError, "got 'relu'"),
+            ((3, 5), [np.ones((3, 2))], "linear", DimensionError,
+             "w0 must have shape (3, 5), got (3, 2)"),
+            ((3, 2), [np.ones((3, 2)), np.ones((2, 2))], "linear", DimensionError,
+             "layer_dims (3, 2) needs 1 weights and biases, got 2 and 1"),
+        ],
+        ids=["activation", "weight-shape", "layer-count"],
+    )
+    def test_construction_rejects_what_a_checkpoint_cannot_hold(
+        self, dims, weights, activation, error, message
+    ):
+        with pytest.raises(error) as caught:
+            ModelParams(dims, weights, [np.zeros(2)], np.ones((2, 4)), np.zeros(4), activation)
+        assert message in str(caught.value)
+
 
 class TestEma:
     def test_decay_zero_copies(self):
@@ -394,6 +413,30 @@ class TestCheckpoint:
         path.write_text("layered nonsense\n")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # every embedding row would be 0
+            (
+                "layer_dims 2 0 3\nclasses 1\nactivation linear\n"
+                "w0\nb0\nw1\nb1 0.0 0.0 0.0\nwc 0.0 0.0 0.0\nbc 0.0\n",
+                "layer_dims must have >= 2 entries, each >= 1, got (2, 0, 3)",
+            ),
+            (
+                "layer_dims 2 3\nclasses 0\nactivation linear\n"
+                "w0 0.0 0.0 0.0 0.0 0.0 0.0\nb0 0.0 0.0 0.0\nwc\nbc\n",
+                "n_classes must be >= 1, got 0",
+            ),
+        ],
+        ids=["zero-width", "no-classes"],
+    )
+    def test_degenerate_header(self, tmp_path, text, message):
+        path = tmp_path / "ckpt.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            load_checkpoint(path)
+        assert str(caught.value) == f"checkpoint: malformed header ({message})"
 
     def test_wrong_value_count(self, tmp_path):
         params = random_params(22)

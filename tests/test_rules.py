@@ -1,15 +1,19 @@
 """Each validation rule is written once.
 
-Three checks: no raise message template appears at two raise sites anywhere
-in the package; the CLI leaves type and choice checks to its own converters
-and the library, never to argparse; and for every value rule that more than
-one entry point enforces, each of those entries rejects a bad value with the
-same exception type and the same message.
+Four checks: no raise message template appears at two raise sites anywhere
+in the package; no raise site states a count's range itself, since
+``seeding.check_count``, whose message names the minimum through a
+replacement field, is the count rule's one home; the CLI leaves type and
+choice checks to its own converters and the library, never to argparse; and
+for every value rule that more than one entry point enforces, each of those
+entries rejects a bad value with the same exception type and the same
+message.
 """
 
 import ast
 import dataclasses
 import math
+import re
 import textwrap
 from collections import defaultdict
 from pathlib import Path
@@ -24,8 +28,8 @@ from nucontrast.contrast import (
     contrastive_loss_and_gradient,
     correct_labels,
 )
-from nucontrast.data import Dataset, MissingnessSpec, drop_labels
-from nucontrast.losses import focal_loss
+from nucontrast.data import Dataset, MissingnessSpec, drop_labels, generate_synthetic
+from nucontrast.losses import bce_loss, focal_loss
 from nucontrast.model import ema_update, init_params
 from nucontrast.seeding import component_rng
 from nucontrast.trainer import TrainConfig, evaluate
@@ -90,6 +94,34 @@ def test_template_finder_sees_a_duplicate():
     }
 
 
+# "<name> must be >= <int>, got {}": a count's range stated outside check_count
+COUNT_RANGE = re.compile(r"(\w+|\{\}) must be >= -?\d+, got \{\}")
+
+
+def count_ranges_outside_home(sites):
+    return {t: s for t, s in sites.items() if COUNT_RANGE.fullmatch(t)}
+
+
+def test_count_range_is_stated_only_by_the_count_rule():
+    assert count_ranges_outside_home(raise_sites(package_sources())) == {}
+
+
+def test_count_range_finder_sees_a_restatement():
+    source = textwrap.dedent(
+        """
+        def f(n, name, minimum):
+            raise ValueError(f"epochs must be >= 1, got {n!r}")
+            raise ValueError(f"{name} must be >= 0, got {n}")
+            raise ValueError(f"{name} must be >= {minimum}, got {n!r}")
+            raise ValueError(f"lr must be finite and > 0, got {n!r}")
+        """
+    )
+    assert count_ranges_outside_home(raise_sites({"m.py": source})) == {
+        "epochs must be >= 1, got {}": [("m.py", 3)],
+        "{} must be >= 0, got {}": [("m.py", 4)],
+    }
+
+
 def add_argument_keywords(source):
     """[(line, keyword names)] of every ``add_argument`` call; ``**kwargs``
     shows as None."""
@@ -139,6 +171,26 @@ BAD_TRUTH = np.array([[1, -1], [-1, -1]])
 
 def params():
     return init_params((2, 2), 2, component_rng(0, "init"))
+
+
+def synthetic(**counts):
+    """``generate_synthetic`` with valid arguments except those given."""
+    args = dict(n_samples=4, n_classes=3, n_features=2, n_groups=2, noise=0.1, seed=0)
+    return generate_synthetic(**{**args, **counts})
+
+
+def count_cases(name, minimum, *entries):
+    """1.5, True and ``minimum - 1`` through each entry, a one-argument
+    callable that passes its argument as the count ``name``."""
+    bad = [
+        (1.5, f"{name} must be an integer, not float, got 1.5"),
+        (True, f"{name} must be an integer, not bool, got True"),
+        (minimum - 1, f"{name} must be >= {minimum}, got {minimum - 1}"),
+    ]
+    return [
+        pytest.param([lambda e=e, v=v: e(v) for e in entries], message, id=f"{name}={v!r}")
+        for v, message in bad
+    ]
 
 
 def probs_with(value):
@@ -220,8 +272,9 @@ RULES = (
             [
                 lambda: checks.run_gradcheck(0, 0),
                 lambda: checks.run_selftest(0, 0),
+                lambda: checks.check_trials(0),
             ],
-            "got 0",
+            "trials must be >= 1, got 0",
             id="trials=0",
         ),
         pytest.param(
@@ -253,8 +306,10 @@ RULES = (
                 lambda: component_rng(-1, "init"),
                 lambda: TrainConfig(seed=-1),
                 lambda: checks.run_gradcheck(1, -1),
+                lambda: MissingnessSpec("keep", seed=-1),
+                lambda: synthetic(seed=-1),
             ],
-            "got -1",
+            "seed must be >= 0, got -1",
             id="seed=-1",
         ),
     ]
@@ -263,8 +318,11 @@ RULES = (
             [
                 lambda v=v: component_rng(v, "init"),
                 lambda v=v: TrainConfig(seed=v),
+                lambda v=v: checks.run_gradcheck(1, v),
+                lambda v=v: MissingnessSpec("keep", seed=v),
+                lambda v=v: synthetic(seed=v),
             ],
-            f"seed must be an integer, got {v!r}",
+            f"seed must be an integer, not {type(v).__name__}, got {v!r}",
             id=f"seed={v}",
         )
         for v in (1.7, True)
@@ -278,7 +336,39 @@ RULES = (
             repr(v),
             id=f"layer_dims={v}",
         )
-        for v in ((8, 0, 4), (8,), (8, -3, 4))
+        for v in ((8, 0, 4), (8,), (8, -3, 4), (8, 1.5, 4), (8, True, 4))
+    ]
+    + [
+        pytest.param(
+            [lambda v=v: checks.run_gradcheck(v, 0), lambda v=v: checks.check_trials(v)],
+            f"trials must be an integer, not {type(v).__name__}, got {v!r}",
+            id=f"trials={v}",
+        )
+        for v in (1.5, True)
+    ]
+    + count_cases("epochs", 1, lambda v: TrainConfig(epochs=v))
+    + count_cases("batch_size", 2, lambda v: TrainConfig(batch_size=v))
+    + count_cases("start_epoch", 1, lambda v: CorrectionConfig(start_epoch=v))
+    + count_cases(
+        "n_classes",
+        1,
+        lambda v: init_params((2, 2), v, component_rng(0, "init")),
+        lambda v: synthetic(n_classes=v),
+    )
+    + count_cases("n_samples", 1, lambda v: synthetic(n_samples=v))
+    + count_cases("n_features", 1, lambda v: synthetic(n_features=v))
+    + count_cases("n_groups", 1, lambda v: synthetic(n_groups=v))
+    + [
+        pytest.param(
+            [
+                lambda: bce_loss(np.zeros((2, 3)), LABELS),
+                lambda: focal_loss(np.zeros((2, 3)), LABELS),
+                lambda: correct_labels(LABELS, np.full((2, 3), 0.5), 0.6),
+                lambda: metrics.report(np.full((2, 3), 0.5), LABELS),
+            ],
+            "score shape (2, 3) does not match label shape (2, 2)",
+            id="score-label-shapes",
+        ),
     ]
 )
 

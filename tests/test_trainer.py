@@ -269,8 +269,9 @@ class TestTracedEntryPoints:
     @pytest.mark.parametrize(
         "contrast_on, start_epoch, labels_per_step, matrices_per_step",
         [
-            # correction: as_label_matrix on observed; as_matrix on z, logits, probs
-            (True, 1, 1, 3),
+            # correction: check_scored_labels checks observed with no int8 copy;
+            # as_matrix on z, logits, probs
+            (True, 1, 0, 3),
             # correction gated off: observed passes through as_label_matrix alone
             (True, 99, 1, 2),
             # classification only: as_matrix on the logits
