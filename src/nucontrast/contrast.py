@@ -36,7 +36,8 @@ def _positive_mask(labels, name: str = "labels") -> np.ndarray:
     out = np.asarray(labels)
     check_2d(out, name)
     pos = out == 1
-    if not (pos | (out == -1)).all():
+    # the two sets are disjoint, so their sizes add up to the size iff they cover it
+    if np.count_nonzero(pos) + np.count_nonzero(out == -1) != out.size:
         raise ValueError(f"{name} entries must all be -1 or +1")
     return pos
 
@@ -162,9 +163,15 @@ def correct_labels(observed, probs, threshold: float) -> np.ndarray:
     probs, _ = check_scored_labels(probs, observed, "probs", "observed")
     check_probs(probs)
     check_correction_threshold(threshold)
-    observed = np.asarray(observed).astype(np.int8)
-    observed[probs >= threshold] = 1
-    return observed
+    return _correct(np.asarray(observed), probs, threshold)
+
+
+def _correct(observed: np.ndarray, probs: np.ndarray, threshold: float) -> np.ndarray:
+    """``correct_labels`` of checked arguments: an int8 copy of ``observed``
+    with every slot where ``probs >= threshold`` set to +1; no check of its own."""
+    out = observed.astype(np.int8)
+    out[probs >= threshold] = 1
+    return out
 
 
 def effective_labels(observed, probs, epoch: int, cfg: CorrectionConfig) -> np.ndarray:

@@ -68,7 +68,8 @@ class MissingnessSpec:
     """How to hide positives: keep each with probability ``ratio`` (mode
     "keep", conditioned on at least one survivor per row; see
     ``drop_labels``) or keep exactly one uniformly chosen positive per row
-    (mode "single")."""
+    (mode "single"). ``ratio`` must lie in (0, 1] in either mode, so a
+    value that "single" ignores is still never out of range."""
 
     mode: str
     ratio: float = 1.0
@@ -77,7 +78,7 @@ class MissingnessSpec:
     def __post_init__(self):
         if self.mode not in ("keep", "single"):
             raise ValueError(f"mode must be 'keep' or 'single', got {self.mode!r}")
-        if self.mode == "keep" and not 0.0 < self.ratio <= 1.0:
+        if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"keep ratio must be in (0, 1], got {self.ratio}")
         check_seed(self.seed)
 

@@ -45,7 +45,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a C-contiguous float64 2-D array, rejecting non-finite entries."""
     out = np.ascontiguousarray(a, dtype=np.float64)
     check_2d(out, name)
-    if not np.isfinite(out).all():
+    if np.count_nonzero(np.isfinite(out)) != out.size:
         raise ValueError(f"{name} contains non-finite entries")
     return out
 

@@ -42,11 +42,17 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 def bce_loss(logits, labels) -> LossOutput:
     """Mean sigmoid binary cross-entropy; target is 1 for +1 labels, else 0."""
     logits, pos = check_scored_labels(logits, labels, "logits", "labels")
+    return _bce(logits, pos, sigmoid(logits))
+
+
+def _bce(logits: np.ndarray, pos: np.ndarray, probs: np.ndarray) -> LossOutput:
+    """``bce_loss`` of checked float64 ``logits``, the bool mask ``pos`` of
+    the +1 labels, and ``probs = sigmoid(logits)``; no check of its own."""
     # -margin is -logit for a +1 label and logit for a -1 label; the sum over
     # size is what .mean() computes, and the bool target subtracts as 1.0/0.0
     sp = _softplus(np.where(pos, -logits, logits))
     value = float(np.add.reduce(sp, axis=None) / sp.size)
-    grad = (sigmoid(logits) - pos) / logits.size
+    grad = (probs - pos) / logits.size
     return LossOutput(value, grad)
 
 
@@ -67,6 +73,12 @@ def focal_loss(logits, labels, gamma: float = 2.0) -> LossOutput:
     """
     check_gamma(gamma)
     logits, pos = check_scored_labels(logits, labels, "logits", "labels")
+    return _focal(logits, pos, gamma)
+
+
+def _focal(logits: np.ndarray, pos: np.ndarray, gamma: float) -> LossOutput:
+    """``focal_loss`` of checked float64 ``logits``, the bool mask ``pos`` of
+    the +1 labels, and a checked ``gamma``; no check of its own."""
     y = np.where(pos, 1.0, -1.0)
     margins = y * logits
     pt = sigmoid(margins)          # probability assigned to the true target

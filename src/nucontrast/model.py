@@ -50,8 +50,12 @@ def check_decay(decay) -> None:
 
 def check_layer_dims(layer_dims) -> None:
     """Require (F, H1, ..., D): at least an input and an output width, each an integer >= 1."""
-    if len(layer_dims) < 2 or not all(is_integer(d) and d >= 1 for d in layer_dims):
-        raise ValueError(f"layer_dims must have >= 2 entries, each >= 1, got {layer_dims!r}")
+    message = f"layer_dims must have >= 2 entries, each >= 1, got {layer_dims!r}"
+    not_integers = [d for d in layer_dims if not is_integer(d)]
+    if not_integers:
+        raise ValueError(f"{message}: {not_integers[0]!r} is not an integer")
+    if len(layer_dims) < 2 or min(layer_dims) < 1:
+        raise ValueError(message)
 
 
 @dataclass

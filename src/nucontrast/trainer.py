@@ -6,6 +6,17 @@ on the corrected labels, backpropagate, Adam step, optional EMA update. The
 structure-loss path (correction included) is active only when the loss is
 enabled with a positive weight, so a weight of 0 runs the exact
 classification-only trajectory bit for bit.
+
+Inputs are checked where they enter, not on every step. A ``Dataset`` checks
+its arrays and a ``TrainConfig`` its values when built; ``train`` rebuilds
+the data it reads through ``Dataset`` once at its door (``split_dataset``),
+which catches an entry written into the mutable dataset after construction;
+and every public function of the package checks its own arguments. The step
+then calls unchecked kernels (``losses._bce``, ``losses._focal``,
+``contrast._correct``) on arrays it made itself, with the same arithmetic as
+the public functions. Two guards stay on every step: the public
+``contrast.contrastive_loss_and_gradient`` rejects a non-finite embedding
+before any SVD, and a non-finite total loss raises with its epoch and batch.
 """
 
 from __future__ import annotations
@@ -59,6 +70,8 @@ class TrainConfig:
             model.check_decay(self.ema_decay)
         if self.layer_dims is not None:
             model.check_layer_dims(self.layer_dims)
+            # a tuple of ints whatever sequence was given, e.g. a numpy array
+            object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
         check_seed(self.seed)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
@@ -105,30 +118,40 @@ class TrainedModel:
     ema_params: ModelParams | None = None
 
 
-def _classification_loss(logits, labels, cfg: TrainConfig) -> losses.LossOutput:
+def _batch_terms(logits, probs, z, effective, cfg: TrainConfig):
+    """(cls_value, contrast_value, grad_logits, grad_z or None) of a step's
+    own arrays: ``probs`` is ``sigmoid(logits)`` (None when only focal loss
+    reads the logits) and ``effective`` holds -1/+1 labels.
+
+    The contrast term comes first, through the public
+    ``contrast.contrastive_loss_and_gradient``: it rejects a non-finite
+    ``z`` before any SVD or other term reads it. The classification loss
+    runs its unchecked kernel.
+    """
+    c_value, grad_z = 0.0, None
+    if cfg.contrast_active():
+        c_value, c_grad = contrast.contrastive_loss_and_gradient(
+            z, effective, cfg.sv_threshold
+        )
+        grad_z = cfg.lambda_ * c_grad
+    pos = effective == 1
     if cfg.loss_kind == "focal":
-        return losses.focal_loss(logits, labels, cfg.focal_gamma)
-    return losses.bce_loss(logits, labels)
-
-
-def _batch_terms(logits, z, effective, cfg: TrainConfig):
-    """(cls_value, contrast_value, grad_logits, grad_z or None)."""
-    out = _classification_loss(logits, effective, cfg)
-    if not cfg.contrast_active():
-        return out.value, 0.0, out.grad_logits, None
-    c_value, c_grad = contrast.contrastive_loss_and_gradient(
-        z, effective, cfg.sv_threshold
-    )
-    return out.value, c_value, out.grad_logits, cfg.lambda_ * c_grad
+        out = losses._focal(logits, pos, cfg.focal_gamma)
+    else:
+        out = losses._bce(logits, pos, probs)
+    return out.value, c_value, out.grad_logits, grad_z
 
 
 def split_dataset(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset | None]:
-    """Seed-stable split into train and held-out parts."""
-    if val_fraction <= 0.0:
-        return ds, None
-    n_val = int(round(ds.n_samples * val_fraction))
+    """Seed-stable split into train and held-out parts.
+
+    Every part is a new ``Dataset`` built, and so checked, from the arrays
+    ``ds`` holds now: ``Dataset`` is mutable, and an entry written into it
+    after construction is caught here.
+    """
+    n_val = int(round(ds.n_samples * max(val_fraction, 0.0)))
     if n_val == 0:
-        return ds, None
+        return Dataset(ds.features, ds.truth, ds.observed), None
     perm = component_rng(seed, "split").permutation(ds.n_samples)
     val_idx = np.sort(perm[:n_val])
     train_idx = np.sort(perm[n_val:])
@@ -138,11 +161,14 @@ def split_dataset(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset,
 
 def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
     """Run the full training loop; deterministic for a fixed config and data."""
+    # the door: every array the steps read comes from a Dataset built here
     train_ds, val_ds = split_dataset(ds, cfg.val_fraction, cfg.seed)
     n = train_ds.n_samples
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds {n} training samples")
-    dims = cfg.layer_dims or (train_ds.n_features, 64, 32)
+    dims = cfg.layer_dims
+    if dims is None:
+        dims = (train_ds.n_features, 64, 32)
     if dims[0] != train_ds.n_features:
         raise ValueError(
             f"layer_dims[0]={dims[0]} must equal the feature width {train_ds.n_features}"
@@ -159,12 +185,14 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
     shuffle_rng = component_rng(cfg.seed, "shuffle")
 
     active = cfg.contrast_active()
+    needs_probs = active or cfg.loss_kind == "bce"
     history = TrainHistory()
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
         # one gather per epoch; each batch is a slice (a view) of it
         shuffled_features = train_ds.features[order]
         shuffled_observed = train_ds.observed[order]
+        correcting = active and epoch >= cfg.correction.start_epoch
         cls_sum = 0.0
         contrast_sum = 0.0
         corrected = 0
@@ -176,15 +204,13 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
 
             z, cache = model.embed_forward(params, x)
             logits = model.classify(params, z)
-            if active:
-                probs = losses.sigmoid(logits)
-                effective = contrast.effective_labels(
-                    observed, probs, epoch, cfg.correction
-                )
+            probs = losses.sigmoid(logits) if needs_probs else None
+            if correcting:
+                effective = contrast._correct(observed, probs, cfg.correction.threshold)
             else:
-                effective = observed
+                effective = observed  # only read, never written
             cls_value, c_value, grad_logits, grad_z = _batch_terms(
-                logits, z, effective, cfg
+                logits, probs, z, effective, cfg
             )
             total = cls_value + cfg.lambda_ * c_value
             if not math.isfinite(total):

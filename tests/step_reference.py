@@ -16,7 +16,6 @@ from nucontrast.trainer import (
     EpochStats,
     TrainedModel,
     TrainHistory,
-    _batch_terms,
     evaluate,
     split_dataset,
 )
@@ -91,7 +90,8 @@ def reference_backward(params, cache, grad_logits, grad_z=None):
 
 
 def reference_train(ds, cfg):
-    """The training loop with a fancy-indexed gather of every batch."""
+    """The training loop with a fancy-indexed gather of every batch, through
+    the public functions, which check every argument on every step."""
     train_ds, val_ds = split_dataset(ds, cfg.val_fraction, cfg.seed)
     n = train_ds.n_samples
     dims = cfg.layer_dims or (train_ds.n_features, 64, 32)
@@ -119,7 +119,17 @@ def reference_train(ds, cfg):
                 effective = contrast.effective_labels(observed, probs, epoch, cfg.correction)
             else:
                 effective = observed
-            cls_value, c_value, grad_logits, grad_z = _batch_terms(logits, z, effective, cfg)
+            if cfg.loss_kind == "focal":
+                out = losses.focal_loss(logits, effective, cfg.focal_gamma)
+            else:
+                out = losses.bce_loss(logits, effective)
+            cls_value, grad_logits = out.value, out.grad_logits
+            c_value, grad_z = 0.0, None
+            if cfg.contrast_active():
+                c_value, c_grad = contrast.contrastive_loss_and_gradient(
+                    z, effective, cfg.sv_threshold
+                )
+                grad_z = cfg.lambda_ * c_grad
             assert math.isfinite(cls_value + cfg.lambda_ * c_value)
             grads = model.backward(params, cache, grad_logits, grad_z)
             model.adam_step(params, grads, state, cfg.lr)

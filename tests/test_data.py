@@ -145,6 +145,9 @@ class TestDropLabels:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             MissingnessSpec("keep", 1.5)
+        # "single" reads no ratio, but an out-of-range one is still refused
+        with pytest.raises(ValueError, match=r"keep ratio must be in \(0, 1\], got 5.0"):
+            MissingnessSpec("single", ratio=5.0)
         with pytest.raises(ValueError):
             MissingnessSpec("drop")
 

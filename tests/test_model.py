@@ -461,6 +461,12 @@ class TestCheckpoint:
             ((4,), 2, "layer_dims must have >= 2 entries, each >= 1, got (4,)"),
             ((8, 0, 4), 2, "layer_dims must have >= 2 entries, each >= 1, got (8, 0, 4)"),
             ((4, 2), 0, "n_classes must be >= 1, got 0"),
+            (
+                (8, 4.7, 4),
+                2,
+                "layer_dims must have >= 2 entries, each >= 1, got (8, 4.7, 4): "
+                "4.7 is not an integer",
+            ),
         ],
     )
     def test_init_params_message_names_the_value(self, dims, n_classes, message):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 from collections import Counter
 
@@ -37,7 +38,8 @@ def checkpoint_bytes(tmp_path, name, params, ema=None):
 
 
 class TestTotalLoss:
-    """The step's objective is cls + lambda * contrast, from ``_batch_terms``."""
+    """The step's objective is cls + lambda * contrast, from ``_batch_terms``,
+    whose unchecked kernels give the public functions' bytes."""
 
     def setup_method(self):
         rng = np.random.default_rng(2)
@@ -47,7 +49,8 @@ class TestTotalLoss:
         self.labels[:, 0] = 1
 
     def terms(self, cfg):
-        return _batch_terms(self.logits, self.z, self.labels, cfg)
+        probs = losses.sigmoid(self.logits)
+        return _batch_terms(self.logits, probs, self.z, self.labels, cfg)
 
     def test_lambda_zero_is_classification_only(self):
         cls_value, c_value, grad_logits, grad_z = self.terms(small_config(lambda_=0.0))
@@ -134,9 +137,57 @@ class TestTrain:
     def test_nonfinite_loss_aborts_with_location(self, monkeypatch):
         ds = small_dataset()
         bad = losses.LossOutput(float("nan"), np.zeros((16, 4)))
-        monkeypatch.setattr(trainer.losses, "bce_loss", lambda *a, **k: bad)
+        monkeypatch.setattr(trainer.losses, "_bce", lambda *a, **k: bad)
         with pytest.raises(RuntimeError, match="epoch 1, batch 0"):
             train(ds, small_config())
+
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            ("observed", 2, "observed entries must all be -1 or +1"),
+            ("features", np.nan, "features contains non-finite entries"),
+        ],
+    )
+    def test_door_rejects_data_changed_after_construction(
+        self, monkeypatch, field, value, shown
+    ):
+        # Dataset is mutable, and with no split only the door rebuilds the caller's data
+        ds = small_dataset()
+        getattr(ds, field)[3, 1] = value
+        steps = []
+        monkeypatch.setattr(trainer.model, "embed_forward", lambda *a: steps.append(a))
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            train(ds, small_config(use_contrast=False, val_fraction=0.0))
+        assert steps == []
+
+    @pytest.mark.filterwarnings("error")  # and before a loss term warns on it
+    def test_nan_embedding_raises_before_any_svd(self, monkeypatch):
+        ds = small_dataset()
+        forward = model.embed_forward
+
+        def nan_forward(params, x):
+            z, cache = forward(params, x)
+            z[0, 0] = np.nan
+            return z, cache
+
+        lapack = []
+        monkeypatch.setattr(trainer.model, "embed_forward", nan_forward)
+        monkeypatch.setattr(linalg.np.linalg, "svd", lambda *a, **k: lapack.append(a))
+        with pytest.raises(ValueError, match="embedding contains non-finite entries"):
+            train(ds, small_config(batch_size=4))
+        assert lapack == []
+
+    def test_array_layer_dims_train_like_a_tuple(self, tmp_path):
+        ds = small_dataset()
+        cfg = small_config(layer_dims=np.array([8, 12, 6]))
+        assert cfg.layer_dims == (8, 12, 6)
+        assert all(type(d) is int for d in cfg.layer_dims)
+        got_model, got_history = train(ds, cfg)
+        want_model, want_history = train(ds, small_config())
+        assert checkpoint_bytes(tmp_path, "got", got_model.params) == checkpoint_bytes(
+            tmp_path, "want", want_model.params
+        )
+        assert got_history.to_text() == want_history.to_text()
 
     def test_batch_size_validation(self):
         ds = small_dataset()
@@ -196,8 +247,9 @@ class TestMatchesPerStepGather:
             ),
             TrainConfig(epochs=2, seed=3, lr=1e-3),
             small_config(batch_size=5, loss_kind="focal", output_activation="linear"),
+            small_config(batch_size=3, output_activation="softplus_unit"),
         ],
-        ids=["b2-ema-correction", "b64-defaults", "focal-linear"],
+        ids=["b2-ema-correction", "b64-defaults", "focal-linear", "softplus-unit"],
     )
     def test_checkpoint_and_history_bytes(self, tmp_path, cfg):
         ds = small_dataset()
@@ -219,8 +271,6 @@ class TestTracedEntryPoints:
     TRACED = (
         (contrast, "contrastive_loss_and_gradient"),
         (linalg, "svd"),
-        (losses, "bce_loss"),
-        (contrast, "effective_labels"),
         (model, "backward"),
         (model, "adam_step"),
         (model, "ema_update"),
@@ -267,19 +317,19 @@ class TestTracedEntryPoints:
         assert counts["svd"] == sum(expected_svd)
 
     @pytest.mark.parametrize(
-        "contrast_on, start_epoch, labels_per_step, matrices_per_step",
+        "contrast_on, start_epoch, matrices_per_step",
         [
-            # correction: check_scored_labels checks observed with no int8 copy;
-            # as_matrix on z, logits, probs
-            (True, 1, 0, 3),
-            # correction gated off: observed passes through as_label_matrix alone
-            (True, 99, 1, 2),
-            # classification only: as_matrix on the logits
-            (False, 1, 0, 1),
+            # correction: as_matrix on z inside the contrast loss
+            (True, 1, 1),
+            # correction gated off: the same
+            (True, 99, 1),
+            # classification only: the step checks nothing
+            (False, 1, 0),
         ],
+        ids=["correction", "correction-gated-off", "contrast-off"],
     )
     def test_validation_calls_per_step(
-        self, monkeypatch, contrast_on, start_epoch, labels_per_step, matrices_per_step
+        self, monkeypatch, contrast_on, start_epoch, matrices_per_step
     ):
         ds = small_dataset()
         cfg = small_config(
@@ -293,9 +343,47 @@ class TestTracedEntryPoints:
         self.install(monkeypatch, counts, lambda name, args: None)
         train(ds, cfg)
         steps = math.ceil(ds.n_samples / cfg.batch_size) * cfg.epochs
-        assert counts["as_label_matrix"] == labels_per_step * steps
+        # once per run, the door rebuilds the Dataset: features, truth, observed
+        assert counts["as_label_matrix"] == 2
         # every svd validates its input once more
-        assert counts["as_matrix"] == matrices_per_step * steps + counts["svd"]
+        assert counts["as_matrix"] == 1 + matrices_per_step * steps + counts["svd"]
+
+
+LABELS = np.array([[1, -1], [-1, 1]])
+HALF = np.full((2, 2), 0.5)
+
+
+def scored_entries(scores, labels):
+    """The public functions whose kernels the step calls, on one input."""
+    return {
+        "bce_loss": lambda: losses.bce_loss(scores, labels),
+        "focal_loss": lambda: losses.focal_loss(scores, labels),
+        "correct_labels": lambda: contrast.correct_labels(labels, scores, 0.6),
+        "effective_labels": lambda: contrast.effective_labels(
+            labels, scores, 1, CorrectionConfig()
+        ),
+    }
+
+
+BAD_SCORED_INPUTS = [
+    ("label 2", HALF, np.array([[1, 2], [-1, 1]]), "entries must all be -1 or +1", None),
+    ("nan score", np.array([[0.5, np.nan], [0.5, 0.5]]), LABELS, "contains non-finite", None),
+    # logits may exceed 1, probabilities may not
+    ("probs 1.5", np.array([[0.5, 1.5], [0.5, 0.5]]), LABELS, "must lie in [0, 1]", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, scores, labels, shown",
+    [
+        pytest.param(entry, scores, labels, shown, id=f"{entry}-{case}")
+        for case, scores, labels, shown, first in BAD_SCORED_INPUTS
+        for entry in list(scored_entries(scores, labels))[first:]
+    ],
+)
+def test_public_functions_keep_their_checks(entry, scores, labels, shown):
+    with pytest.raises(ValueError, match=re.escape(shown)):
+        scored_entries(scores, labels)[entry]()
 
 
 class TestEvaluate:
