@@ -8,7 +8,7 @@ The text format is deliberately dumb: a "N C F" header, N feature rows, N
 truth label rows, N observed label rows, all space-separated, floats written
 with shortest round-trip decimals. A load parses the feature block with one
 numpy call and falls back to a per-line parser that names the bad line; a
-save replaces the file atomically.
+save formats each distinct label row once and replaces the file atomically.
 """
 
 from __future__ import annotations
@@ -182,16 +182,29 @@ _WRITE_ROWS = 256
 def save_dataset(ds: Dataset, path) -> None:
     """Write ``ds`` in the text format, replacing ``path`` atomically.
 
-    Rows go through ``tolist()`` ``_WRITE_ROWS`` at a time, which keeps the
-    per-value work in C without holding a Python float for every value of a
-    large matrix at once.
+    Feature rows go through ``tolist()`` ``_WRITE_ROWS`` at a time, which
+    keeps the per-value work in C without holding a Python float for every
+    value of a large matrix at once. A label row is formatted once per
+    distinct row, keyed by its bytes, the way ``_parse_label_block`` parses
+    each distinct line once.
     """
     with atomic_write(path) as fh:
         fh.write(f"{ds.n_samples} {ds.n_classes} {ds.n_features}\n")
-        for block, fmt in ((ds.features, repr), (ds.truth, str), (ds.observed, str)):
-            for start in range(0, block.shape[0], _WRITE_ROWS):
-                rows = block[start:start + _WRITE_ROWS].tolist()
-                fh.writelines(" ".join(map(fmt, row)) + "\n" for row in rows)
+        for start in range(0, ds.n_samples, _WRITE_ROWS):
+            rows = ds.features[start:start + _WRITE_ROWS].tolist()
+            fh.writelines(" ".join(map(repr, row)) + "\n" for row in rows)
+        for block in (ds.truth, ds.observed):
+            lines: dict[bytes, str] = {}  # one per block: its rows share a dtype
+            fh.writelines(_label_line(lines, row) for row in block)
+
+
+def _label_line(lines: dict[bytes, str], row: np.ndarray) -> str:
+    """The text line of a label row, formatted on its first sight only."""
+    key = row.tobytes()
+    line = lines.get(key)
+    if line is None:
+        line = lines[key] = " ".join(map(str, row.tolist())) + "\n"
+    return line
 
 
 def _parse_labels(fields: list[str], lineno: int, n_classes: int) -> list[int]:

@@ -15,6 +15,11 @@ in checkpoint order (w0 b0 w1 b1 ... wc bc); the per-layer arrays are views
 into it. ``backward`` writes the gradient into a second vector of that
 layout, and Adam's moments are two more, so an Adam step or an EMA update is
 a handful of whole-vector operations instead of a loop over arrays.
+
+Each public function of the training step (``embed_forward``, ``classify``,
+``backward``, ``adam_step``, ``ema_update``) checks its arguments and then
+calls a private kernel of the same arithmetic, which checks nothing;
+``trainer.train`` calls the kernels on arrays it made itself.
 """
 
 from __future__ import annotations
@@ -191,24 +196,34 @@ def embed_forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, Forwa
         raise DimensionError(
             f"input must be N x {params.layer_dims[0]}, got {x.shape}"
         )
+    acts, prenorm = _embed_forward(params, x)
+    return acts[-1], ForwardCache(x, acts, prenorm)
+
+
+def _embed_forward(
+    params: ModelParams, x: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """``embed_forward`` of a float64 ``x`` of the input width, as
+    (activations, prenorm) (see ``ForwardCache``); no check of its own.
+
+    Each activation is written in place over its layer's pre-activation.
+    """
     acts: list[np.ndarray] = []
     a = x
     prenorm = None
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = a @ w
-        h += b
+        a = a @ w
+        a += b
         if i != last:
-            a = np.tanh(h)
-        elif params.output_activation in ("softplus", "softplus_unit"):
-            a = np.logaddexp(0.0, h)
+            np.tanh(a, out=a)
+        elif params.output_activation != "linear":
+            np.logaddexp(0.0, a, out=a)
             if params.output_activation == "softplus_unit":
                 prenorm = a
                 a = a / np.linalg.norm(a, axis=1, keepdims=True)
-        else:
-            a = h
         acts.append(a)
-    return a, ForwardCache(x, acts, prenorm)
+    return acts, prenorm
 
 
 def classify(params: ModelParams, z: np.ndarray) -> np.ndarray:
@@ -218,7 +233,14 @@ def classify(params: ModelParams, z: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"embedding must be N x {params.classifier_weight.shape[0]}, got {z.shape}"
         )
-    return z @ params.classifier_weight + params.classifier_bias
+    return _classify(params, z)
+
+
+def _classify(params: ModelParams, z: np.ndarray) -> np.ndarray:
+    """``classify`` of a float64 ``z`` of the embedding width; no check of its own."""
+    logits = z @ params.classifier_weight
+    logits += params.classifier_bias
+    return logits
 
 
 def backward(
@@ -241,32 +263,48 @@ def backward(
     z = cache.activations[-1]
     if grad_logits.shape != (z.shape[0], params.n_classes):
         raise DimensionError("grad_logits shape mismatch")
+    if grad_z is not None and grad_z.shape != z.shape:
+        raise DimensionError("grad_z shape mismatch")
+    return _backward(params, cache.x, cache.activations, cache.prenorm, grad_logits, grad_z)
+
+
+def _backward(
+    params: ModelParams,
+    x: np.ndarray,
+    acts: list[np.ndarray],
+    prenorm: np.ndarray | None,
+    grad_logits: np.ndarray,
+    grad_z: np.ndarray | None,
+) -> np.ndarray:
+    """``backward`` of the fields of a ``ForwardCache`` and gradients of
+    matching shapes; no check of its own."""
     out = params._grad_views
-    np.matmul(z.T, grad_logits, out=out[-2])
+    np.matmul(acts[-1].T, grad_logits, out=out[-2])
     grad_logits.sum(axis=0, out=out[-1])
 
     g = grad_logits @ params.classifier_weight.T
     if grad_z is not None:
-        if grad_z.shape != z.shape:
-            raise DimensionError("grad_z shape mismatch")
         g += grad_z
 
     last = len(params.weights) - 1
     for i in range(last, -1, -1):
-        if i != last:  # undo the tanh
-            g = g * (1.0 - cache.activations[i] ** 2)
-        else:
-            a = cache.activations[i]
-            if params.output_activation == "softplus_unit":
-                # undo the row normalization z = a / |a|, then the softplus
-                norms = np.linalg.norm(cache.prenorm, axis=1, keepdims=True)
-                z = a
-                g = (g - z * (z * g).sum(axis=1, keepdims=True)) / norms
-                g = g * -np.expm1(-cache.prenorm)
-            elif params.output_activation == "softplus":
-                # softplus'(h) recovered from the activation: sigmoid(h) = 1 - exp(-a)
-                g = g * -np.expm1(-a)
-        prev = cache.x if i == 0 else cache.activations[i - 1]
+        a = acts[i]
+        if i != last:  # undo the tanh: times 1 - a**2
+            d = np.square(a)
+            np.subtract(1.0, d, out=d)
+            g *= d
+        elif params.output_activation == "softplus_unit":
+            # undo the row normalization z = a / |a|, then the softplus
+            norms = np.linalg.norm(prenorm, axis=1, keepdims=True)
+            g = (g - a * (a * g).sum(axis=1, keepdims=True)) / norms
+            g = g * -np.expm1(-prenorm)
+        elif params.output_activation == "softplus":
+            # softplus'(h) recovered from the activation: sigmoid(h) = 1 - exp(-a)
+            d = np.negative(a)
+            np.expm1(d, out=d)
+            np.negative(d, out=d)
+            g *= d
+        prev = x if i == 0 else acts[i - 1]
         np.matmul(prev.T, g, out=out[2 * i])
         g.sum(axis=0, out=out[2 * i + 1])
         if i > 0:
@@ -289,16 +327,40 @@ def adam_step(params: ModelParams, grads: np.ndarray, state: AdamState, lr: floa
         raise DimensionError(
             f"grads must be a vector of {params.flat.size} values, got shape {np.shape(grads)}"
         )
+    _adam_step(params, grads, state, lr, (np.empty_like(params.flat), np.empty_like(params.flat)))
+
+
+def _adam_step(
+    params: ModelParams,
+    grads: np.ndarray,
+    state: AdamState,
+    lr: float,
+    scratch: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """``adam_step`` of ``grads`` with the layout of ``params.flat``; no
+    check of its own. ``scratch`` is a pair of float64 vectors of that
+    layout, which it overwrites."""
     state.step += 1
     t = state.step
     correction1 = 1.0 - ADAM_BETA1**t
     correction2 = 1.0 - ADAM_BETA2**t
     m, v = state.m, state.v
+    a, b = scratch
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grads
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=a)
+    m += a
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grads * grads
-    params.flat -= lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=a)
+    a *= grads
+    v += a
+    # flat -= lr * (m / correction1) / (sqrt(v / correction2) + eps)
+    np.divide(v, correction2, out=a)
+    np.sqrt(a, out=a)
+    a += ADAM_EPS
+    np.divide(m, correction1, out=b)
+    b *= lr
+    b /= a
+    params.flat -= b
 
 
 def ema_update(ema_params: ModelParams, params: ModelParams, decay: float) -> None:
@@ -306,8 +368,17 @@ def ema_update(ema_params: ModelParams, params: ModelParams, decay: float) -> No
     check_decay(decay)
     if ema_params.flat.shape != params.flat.shape:
         raise DimensionError("ema and params have different layouts")
+    _ema_update(ema_params, params, decay, np.empty_like(params.flat))
+
+
+def _ema_update(
+    ema_params: ModelParams, params: ModelParams, decay: float, scratch: np.ndarray
+) -> None:
+    """``ema_update`` of a checked ``decay`` and equal layouts; no check of
+    its own. ``scratch``, a float64 vector of that layout, is overwritten."""
+    np.multiply(params.flat, 1.0 - decay, out=scratch)
     ema_params.flat *= decay
-    ema_params.flat += (1.0 - decay) * params.flat
+    ema_params.flat += scratch
 
 
 def _layout(layer_dims, n_classes: int) -> list[tuple[str, tuple[int, ...]]]:

@@ -12,9 +12,14 @@ its arrays and a ``TrainConfig`` its values when built; ``train`` rebuilds
 the data it reads through ``Dataset`` once at its door (``split_dataset``),
 which catches an entry written into the mutable dataset after construction;
 and every public function of the package checks its own arguments. The step
-then calls unchecked kernels (``losses._bce``, ``losses._focal``,
-``contrast._correct``) on arrays it made itself, with the same arithmetic as
-the public functions. Two guards stay on every step: the public
+then calls the unchecked kernels behind those functions on arrays it made
+itself, with the same arithmetic in the same order: ``model._embed_forward``,
+``model._classify``, ``losses._sigmoid``, ``contrast._correct``,
+``losses._bce`` or ``losses._focal``, ``model._backward``,
+``model._adam_step`` and ``model._ema_update``. The kernels write
+activations in place and return plain tuples instead of a ``ForwardCache``
+or a ``LossOutput``, and Adam and EMA work through two scratch vectors that
+``train`` allocates once per run. Two guards stay on every step: the public
 ``contrast.contrastive_loss_and_gradient`` rejects a non-finite embedding
 before any SVD, and a non-finite total loss raises with its epoch and batch.
 """
@@ -136,10 +141,10 @@ def _batch_terms(logits, probs, z, effective, cfg: TrainConfig):
         grad_z = cfg.lambda_ * c_grad
     pos = effective == 1
     if cfg.loss_kind == "focal":
-        out = losses._focal(logits, pos, cfg.focal_gamma)
+        cls_value, grad_logits = losses._focal(logits, pos, cfg.focal_gamma)
     else:
-        out = losses._bce(logits, pos, probs)
-    return out.value, c_value, out.grad_logits, grad_z
+        cls_value, grad_logits = losses._bce(logits, pos, probs)
+    return cls_value, c_value, grad_logits, grad_z
 
 
 def split_dataset(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset | None]:
@@ -182,6 +187,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
     )
     ema = params.copy() if cfg.ema_decay is not None else None
     state = model.init_adam(params)
+    scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
     shuffle_rng = component_rng(cfg.seed, "shuffle")
 
     active = cfg.contrast_active()
@@ -202,11 +208,13 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
             x = shuffled_features[start:stop]
             observed = shuffled_observed[start:stop]
 
-            z, cache = model.embed_forward(params, x)
-            logits = model.classify(params, z)
-            probs = losses.sigmoid(logits) if needs_probs else None
+            acts, prenorm = model._embed_forward(params, x)
+            z = acts[-1]
+            logits = model._classify(params, z)
+            probs = losses._sigmoid(logits) if needs_probs else None
             if correcting:
                 effective = contrast._correct(observed, probs, cfg.correction.threshold)
+                corrected += np.count_nonzero(effective != observed)
             else:
                 effective = observed  # only read, never written
             cls_value, c_value, grad_logits, grad_z = _batch_terms(
@@ -217,14 +225,13 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {n_batches}"
                 )
-            grads = model.backward(params, cache, grad_logits, grad_z)
-            model.adam_step(params, grads, state, cfg.lr)
+            grads = model._backward(params, x, acts, prenorm, grad_logits, grad_z)
+            model._adam_step(params, grads, state, cfg.lr, scratch)
             if ema is not None:
-                model.ema_update(ema, params, cfg.ema_decay)
+                model._ema_update(ema, params, cfg.ema_decay, scratch[0])
 
             cls_sum += cls_value * x.shape[0]
             contrast_sum += c_value
-            corrected += np.count_nonzero(effective != observed)
             n_batches += 1
 
         val_report = None

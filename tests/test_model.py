@@ -1,5 +1,7 @@
 """Embedding network, backprop, Adam, EMA, and checkpoint round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -384,6 +386,53 @@ class TestEma:
     def test_bad_decay(self):
         with pytest.raises(ValueError):
             ema_update(random_params(18), random_params(18), 1.0)
+
+
+# Each public function whose kernel the training step calls, on a bad
+# argument: name -> (call(params, ema, cache, state), message). The params
+# map 6 -> 8 -> 4 with 3 classes.
+BAD_MODEL_CALLS = {
+    "embed_forward-width": (
+        lambda p, e, cache, state: embed_forward(p, np.zeros((2, 5))), "input must be N x 6"
+    ),
+    "classify-width": (
+        lambda p, e, cache, state: classify(p, np.zeros((2, 5))), "embedding must be N x 4"
+    ),
+    "backward-grad_logits": (
+        lambda p, e, cache, state: backward(p, cache, np.zeros((2, 4))),
+        "grad_logits shape mismatch",
+    ),
+    "backward-grad_z": (
+        lambda p, e, cache, state: backward(p, cache, np.zeros((2, 3)), np.zeros((2, 5))),
+        "grad_z shape mismatch",
+    ),
+    "adam_step-grads": (
+        lambda p, e, cache, state: adam_step(p, np.zeros(p.flat.size - 1), state, 1e-3),
+        "grads must be a vector of",
+    ),
+    "ema_update-decay": (
+        lambda p, e, cache, state: ema_update(e, p, 1.0), "EMA decay must be in [0, 1)"
+    ),
+    "ema_update-layout": (
+        lambda p, e, cache, state: ema_update(random_params(40, dims=(6, 5, 4)), p, 0.9),
+        "ema and params have different layouts",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MODEL_CALLS))
+def test_public_model_functions_keep_their_checks(case):
+    params, ema = random_params(41), random_params(42)
+    _, cache = embed_forward(params, np.zeros((2, 6)))
+    state = init_adam(params)
+    before = [a.copy() for a in (params.flat, params.grad, ema.flat, state.m, state.v)]
+    call, message = BAD_MODEL_CALLS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(params, ema, cache, state)
+    # a rejected call writes nothing
+    after = [params.flat, params.grad, ema.flat, state.m, state.v]
+    assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+    assert state.step == 0
 
 
 class TestCheckpoint:

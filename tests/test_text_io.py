@@ -105,6 +105,15 @@ def reference_load_dataset(path):
         raise DatasetFormatError(str(exc)) from None
 
 
+def reference_save_dataset(ds, path):
+    """The writer that formatted every label row, kept as a reference."""
+    with atomic_write(path) as fh:
+        fh.write(f"{ds.n_samples} {ds.n_classes} {ds.n_features}\n")
+        for block, fmt in ((ds.features, repr), (ds.truth, str), (ds.observed, str)):
+            for row in block.tolist():
+                fh.write(" ".join(map(fmt, row)) + "\n")
+
+
 def outcome(loader, path):
     try:
         ds = loader(path)
@@ -132,6 +141,33 @@ class TestGoldenBytes:
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, params, params.copy())
         assert path.read_bytes() == text.encode()
+
+
+class TestSaveMatchesPerRowWriter:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_many_distinct_label_rows(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n, c = 3000, 12
+        truth = np.where(rng.random((n, c)) < 0.5, 1, -1).astype(np.int8)
+        truth[:, 0] = 1
+        observed = np.where((truth == 1) & (rng.random((n, c)) < 0.7), 1, -1).astype(np.int8)
+        observed[:, 0] = 1
+        ds = Dataset(random_finite(rng, n * 3).reshape(n, 3), truth, observed)
+        # most rows are distinct, and some repeat, within and across the blocks
+        distinct = {row.tobytes() for row in np.concatenate([truth, observed])}
+        assert 1000 < len(distinct) < 2 * n
+        save_dataset(ds, tmp_path / "got.txt")
+        reference_save_dataset(ds, tmp_path / "want.txt")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+    def test_labels_of_another_dtype(self, tmp_path):
+        # a Dataset's fields are mutable; a label block of another dtype keeps its text
+        ds = generate_synthetic(200, 5, 2, 3, 1.0, 16)
+        ds.truth = ds.truth.astype(np.int64)
+        ds.observed = ds.observed.astype(np.float64)
+        save_dataset(ds, tmp_path / "got.txt")
+        reference_save_dataset(ds, tmp_path / "want.txt")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
 
 
 class TestRoundTripBitExact:

@@ -136,7 +136,7 @@ class TestTrain:
 
     def test_nonfinite_loss_aborts_with_location(self, monkeypatch):
         ds = small_dataset()
-        bad = losses.LossOutput(float("nan"), np.zeros((16, 4)))
+        bad = (float("nan"), np.zeros((16, 4)))
         monkeypatch.setattr(trainer.losses, "_bce", lambda *a, **k: bad)
         with pytest.raises(RuntimeError, match="epoch 1, batch 0"):
             train(ds, small_config())
@@ -155,7 +155,7 @@ class TestTrain:
         ds = small_dataset()
         getattr(ds, field)[3, 1] = value
         steps = []
-        monkeypatch.setattr(trainer.model, "embed_forward", lambda *a: steps.append(a))
+        monkeypatch.setattr(trainer.model, "_embed_forward", lambda *a: steps.append(a))
         with pytest.raises(ValueError, match=re.escape(shown)):
             train(ds, small_config(use_contrast=False, val_fraction=0.0))
         assert steps == []
@@ -163,15 +163,15 @@ class TestTrain:
     @pytest.mark.filterwarnings("error")  # and before a loss term warns on it
     def test_nan_embedding_raises_before_any_svd(self, monkeypatch):
         ds = small_dataset()
-        forward = model.embed_forward
+        forward = model._embed_forward
 
         def nan_forward(params, x):
-            z, cache = forward(params, x)
-            z[0, 0] = np.nan
-            return z, cache
+            acts, prenorm = forward(params, x)
+            acts[-1][0, 0] = np.nan
+            return acts, prenorm
 
         lapack = []
-        monkeypatch.setattr(trainer.model, "embed_forward", nan_forward)
+        monkeypatch.setattr(trainer.model, "_embed_forward", nan_forward)
         monkeypatch.setattr(linalg.np.linalg, "svd", lambda *a, **k: lapack.append(a))
         with pytest.raises(ValueError, match="embedding contains non-finite entries"):
             train(ds, small_config(batch_size=4))
@@ -248,8 +248,17 @@ class TestMatchesPerStepGather:
             TrainConfig(epochs=2, seed=3, lr=1e-3),
             small_config(batch_size=5, loss_kind="focal", output_activation="linear"),
             small_config(batch_size=3, output_activation="softplus_unit"),
+            small_config(batch_size=2, ema_decay=0.9, use_contrast=False),
+            small_config(batch_size=4, output_activation="linear", ema_decay=0.5),
         ],
-        ids=["b2-ema-correction", "b64-defaults", "focal-linear", "softplus-unit"],
+        ids=[
+            "b2-ema-correction",
+            "b64-defaults",
+            "focal-linear",
+            "softplus-unit",
+            "b2-ema-contrast-off",
+            "bce-linear",
+        ],
     )
     def test_checkpoint_and_history_bytes(self, tmp_path, cfg):
         ds = small_dataset()
@@ -265,12 +274,20 @@ class TestMatchesPerStepGather:
 
 
 class TestTracedEntryPoints:
-    """The step calls each public entry point that a tracer wraps through its
-    module attribute, so wrapping the attribute sees every call."""
+    """The step calls the contrast loss and the SVD through their module
+    attributes, so wrapping the attribute sees every call. It calls the
+    model's functions and the sigmoid as kernels, so only the evaluation
+    calls their public forms."""
 
     TRACED = (
         (contrast, "contrastive_loss_and_gradient"),
         (linalg, "svd"),
+    )
+    # public functions whose kernels the step calls
+    KERNELED = (
+        (model, "embed_forward"),
+        (model, "classify"),
+        (losses, "sigmoid"),
         (model, "backward"),
         (model, "adam_step"),
         (model, "ema_update"),
@@ -282,7 +299,7 @@ class TestTracedEntryPoints:
     def install(self, monkeypatch, counts, on_call):
         """Replace each traced function wherever a nucontrast module holds it."""
         modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "nucontrast"]
-        for home, name in self.TRACED + self.CHECKS:
+        for home, name in self.TRACED + self.KERNELED + self.CHECKS:
             original = getattr(home, name)
 
             def wrapper(*args, _name=name, _original=original, **kwargs):
@@ -310,11 +327,13 @@ class TestTracedEntryPoints:
         train(ds, cfg)
         n_train = ds.n_samples - round(ds.n_samples * cfg.val_fraction)
         steps = math.ceil(n_train / cfg.batch_size) * cfg.epochs
-        for _, name in self.TRACED:
-            if name != "svd":
-                assert counts[name] == steps, name
+        assert counts["contrastive_loss_and_gradient"] == steps
         assert len(expected_svd) == steps
         assert counts["svd"] == sum(expected_svd)
+        # only the validation at the end of each epoch calls the public forms
+        evaluation = {"embed_forward": 1, "classify": 1, "sigmoid": 1}
+        for _, name in self.KERNELED:
+            assert counts[name] == evaluation.get(name, 0) * cfg.epochs, name
 
     @pytest.mark.parametrize(
         "contrast_on, start_epoch, matrices_per_step",
