@@ -254,6 +254,15 @@ class TestTrain:
         assert code == 1
         capsys.readouterr()
 
+    def test_non_utf8_data_names_the_line(self, tmp_path, dataset_file, capsys):
+        lines = dataset_file.read_bytes().splitlines(keepends=True)
+        lines[4] = lines[4].replace(b" ", b" \xff", 1)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"".join(lines))
+        assert run(["train", "--data", str(bad), "--out", str(tmp_path / "m.txt")]) == 1
+        assert capsys.readouterr().err == "error: line 5: not UTF-8 text (byte 0xff)\n"
+        assert not (tmp_path / "m.txt").exists()
+
     def test_config_file_precedence(self, tmp_path, dataset_file, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("epochs = 2\nseed = 9\nbatch_size = 16\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nucontrast import linalg
+from nucontrast.contrast import as_label_matrix
 from nucontrast.data import (
     Dataset,
     DatasetFormatError,
@@ -16,6 +17,19 @@ from nucontrast.data import (
     load_dataset,
     save_dataset,
 )
+from nucontrast.seeding import component_rng
+
+
+def reference_single_drop(truth, seed):
+    """The per-row loop that single-mode ``drop_labels`` replaced, kept as a
+    reference: one ``rng.integers(count)`` per row, in row order."""
+    truth = as_label_matrix(truth, "truth")
+    rng = component_rng(seed, "missing")
+    observed = np.full_like(truth, -1)
+    for i in range(truth.shape[0]):
+        pos = np.flatnonzero(truth[i] == 1)
+        observed[i, pos[rng.integers(pos.size)]] = 1
+    return observed
 
 
 def svd_rank(a, tol=1e-8):
@@ -86,6 +100,18 @@ class TestDropLabels:
         ds = generate_synthetic(500, 10, 4, 6, 1.0, seed=4)
         observed = drop_labels(ds.truth, MissingnessSpec("single", seed=4))
         assert average_positives(observed) == 1.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_same_bytes_as_per_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        for n, c in [(1, 1), (60, 3), (500, 10), (300, 40)]:
+            truth = np.where(rng.random((n, c)) < 0.3, 1, -1).astype(np.int8)
+            truth[np.arange(n), rng.integers(c, size=n)] = 1
+            synthetic = generate_synthetic(n, c, 2, min(c, 6), 1.0, seed).truth
+            for labels in (truth, synthetic, truth.astype(np.int64)):
+                got = drop_labels(labels, MissingnessSpec("single", seed=seed))
+                want = reference_single_drop(labels, seed)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, c)
 
     def test_keep_all_is_identity(self):
         ds = generate_synthetic(100, 8, 4, 5, 0.5, seed=5)

@@ -1,5 +1,6 @@
 """Dataset and checkpoint text I/O: pinned bytes, bit-exact round trips, the
-numpy fast path against the per-line parser, memory, and atomic writes."""
+numpy fast path and the chunked reader against the whole-file per-line
+parser, memory, and atomic writes."""
 
 import hashlib
 import tracemalloc
@@ -245,6 +246,9 @@ ODD_FILES = {
     "crlf": variant(newline="\r\n"),
     "cr": variant(newline="\r"),
     "no final newline": variant(final_newline=False),
+    "crlf, no final newline": variant(newline="\r\n", final_newline=False),
+    "mixed line ends": "2 2 3\r\n0.5 -1.25 3.0\r1e-3 2.5 -0.75\n1 -1\r\n1 1\r1 -1\n-1 1\r\n",
+    "line separator": variant(features=(0, "0.5\u2028-1.25 3.0")),
     "blank feature line": variant(features=(1, "")),
     "whitespace feature line": variant(features=(0, "   ")),
     "blank line inserted": dataset_text(
@@ -291,11 +295,107 @@ class TestFallbackEquivalence:
         assert load_dataset(path).features[1].tolist() == [10.0, 2.5, -0.75]
 
     def test_large_file_same_as_per_line_loader(self, tmp_path):
-        ds = generate_synthetic(3000, 10, 16, 6, 2.0, 12)
-        observed = drop_labels(ds.truth, MissingnessSpec("keep", 0.5, seed=12))
-        path = tmp_path / "ds.txt"
-        save_dataset(Dataset(ds.features, ds.truth, observed), path)
+        path = large_file(tmp_path)
         assert outcome(load_dataset, path) == outcome(reference_load_dataset, path)
+
+
+def large_file(directory):
+    ds = generate_synthetic(3000, 10, 16, 6, 2.0, 12)
+    observed = drop_labels(ds.truth, MissingnessSpec("keep", 0.5, seed=12))
+    path = directory / "ds.txt"
+    save_dataset(Dataset(ds.features, ds.truth, observed), path)
+    return path
+
+
+CHUNK_CHARS = [1, 2, 3, 7]
+
+
+class TestChunkBoundaries:
+    """Chunks of a few characters put every line break, \\r\\n pair and
+    missing final newline across a chunk boundary somewhere; one feature
+    line per numpy call makes every fallback name a line of a later block."""
+
+    @pytest.mark.parametrize("rows", [1, data._READ_ROWS])
+    @pytest.mark.parametrize("chars", CHUNK_CHARS)
+    @pytest.mark.parametrize("name", sorted(ODD_FILES))
+    def test_same_result_as_per_line_loader(self, tmp_path, monkeypatch, name, chars, rows):
+        path = tmp_path / "odd.txt"
+        path.write_bytes(ODD_FILES[name].encode("utf-8"))
+        want = outcome(reference_load_dataset, path)
+        monkeypatch.setattr(data, "_READ_CHARS", chars)
+        monkeypatch.setattr(data, "_READ_ROWS", rows)
+        assert outcome(load_dataset, path) == want
+
+    def test_large_file(self, tmp_path, monkeypatch):
+        path = large_file(tmp_path)
+        want = outcome(reference_load_dataset, path)
+        assert want[0] == "loaded"
+        monkeypatch.setattr(data, "_READ_ROWS", 128)  # 23 full blocks, then one of 56 rows
+        for chars in CHUNK_CHARS:
+            monkeypatch.setattr(data, "_READ_CHARS", chars)
+            assert outcome(load_dataset, path) == want, chars
+
+
+class TestHeaderBeyondFile:
+    """A header may promise more than the file holds; the loader neither
+    allocates for the promise nor loops over it."""
+
+    def test_huge_n_is_a_line_count_error(self, tmp_path):
+        path = tmp_path / "odd.txt"
+        path.write_text(variant(header=f"{10**12} 2 3"))
+        want = outcome(reference_load_dataset, path)
+        assert want[2] == f"expected {3 * 10**12 + 1} lines for N={10**12}, found 7"
+        assert outcome(load_dataset, path) == want
+
+    def test_huge_f_names_the_first_feature_line(self, tmp_path):
+        # reference_load_dataset raises MemoryError here: it allocates 2 x 10**12 floats
+        path = tmp_path / "odd.txt"
+        path.write_text(variant(header=f"2 2 {10**12}"))
+        message = f"^line 2: expected {10**12} features, got 3$"
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset(path)
+
+    def test_file_that_grew_while_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "good.txt"
+        path.write_text(variant())
+        # too few bytes for 2 x 3 feature values when the file was opened
+        monkeypatch.setattr(data.os, "fstat", lambda fd: type("Stat", (), {"st_size": 11}))
+        with pytest.raises(DatasetFormatError, match="^the file grew while it was read$"):
+            load_dataset(path)
+
+
+class TestNotUtf8:
+    def write(self, tmp_path, lines):
+        path = tmp_path / "odd.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        return path
+
+    def good_lines(self):
+        return variant().encode("utf-8").splitlines()
+
+    def test_names_the_line_and_byte(self, tmp_path):
+        lines = self.good_lines()
+        lines[2] = b"1e-3 2.5 \xff0.75"
+        with pytest.raises(DatasetFormatError, match=r"^line 3: not UTF-8 text \(byte 0xff\)$"):
+            load_dataset(self.write(tmp_path, lines))
+
+    @pytest.mark.parametrize("chars", CHUNK_CHARS + [data._READ_CHARS])
+    def test_first_such_line_outranks_every_other_fault(self, tmp_path, monkeypatch, chars):
+        # a bad header, a wrong line count, a truncated euro sign on line 6
+        # and a stray byte on line 8
+        lines = self.good_lines()
+        lines[0] = b"2 x 3"
+        lines[5] = b"1 \xe2\x82"
+        lines.append(b"\x80")
+        path = self.write(tmp_path, lines)
+        monkeypatch.setattr(data, "_READ_CHARS", chars)
+        with pytest.raises(DatasetFormatError, match=r"^line 6: not UTF-8 text \(byte 0xe2\)$"):
+            load_dataset(path)
+
+    def test_line_past_the_count_is_still_read(self, tmp_path):
+        path = self.write(tmp_path, self.good_lines() + [b"1 -1", b"\xc0"])
+        with pytest.raises(DatasetFormatError, match=r"^line 9: not UTF-8 text \(byte 0xc0\)$"):
+            load_dataset(path)
 
 
 class TestCheckpointParse:
@@ -350,6 +450,25 @@ class TestSaveMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestLoadMemory:
+    def test_peak_stays_near_the_arrays(self, tmp_path):
+        """The text is read a chunk at a time. Holding the whole text and a
+        list of its lines, as a whole-file read does, peaks at 5.4 times
+        the arrays for this 12.7 MiB file."""
+        ds = generate_synthetic(20_000, 10, 32, 6, 1.0, 13)
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        arrays = sum(a.nbytes for a in (loaded.features, loaded.truth, loaded.observed))
+        assert peak < 2 * arrays
 
 
 class Exploding(float):
