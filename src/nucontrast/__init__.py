@@ -29,7 +29,7 @@ from .contrast import (
     correct_labels,
     effective_labels,
 )
-from .losses import LossOutput, bce_loss, focal_loss, sigmoid
+from .losses import bce_loss, focal_loss, sigmoid
 from .model import ModelParams, load_checkpoint, save_checkpoint
 from .data import (
     Dataset,

@@ -143,13 +143,13 @@ def check_model_fd(trials: int, seed: int) -> CheckResult:
                 z, _ = model.embed_forward(params, x)
                 logits = model.classify(params, z)
                 return (
-                    losses.bce_loss(logits, labels).value
+                    losses.bce_loss(logits, labels)[0]
                     + lam * contrast.contrastive_loss_and_gradient(z, labels)[0]
                 )
 
             z, cache = model.embed_forward(params, x)
             logits = model.classify(params, z)
-            grad_logits = losses.bce_loss(logits, labels).grad_logits
+            _, grad_logits = losses.bce_loss(logits, labels)
             grad_z = lam * contrast.contrastive_loss_and_gradient(z, labels)[1]
             grads = model.backward(params, cache, grad_logits, grad_z)
 

@@ -37,8 +37,10 @@ def check_2d(a: np.ndarray, name: str) -> None:
 
 
 def check_sv_threshold(sv_threshold) -> None:
-    if not sv_threshold > 0:
-        raise ValueError(f"sv_threshold must be > 0, got {sv_threshold!r}")
+    """A fraction of the largest singular value: at 1 or above the cut
+    ``s > t * s[0]`` keeps no singular vector."""
+    if not 0 < sv_threshold < 1:
+        raise ValueError(f"sv_threshold must be in (0, 1), got {sv_threshold!r}")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

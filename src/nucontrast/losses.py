@@ -2,24 +2,18 @@
 
 Both losses treat a -1 label as a plain negative target (missing positives
 therefore count as negatives until label correction rescues them) and reduce
-by the mean over all N*C label slots, so the gradient of the mean is what
-``grad_logits`` carries.
+by the mean over all N*C label slots. Each returns ``(value, grad_logits)``,
+the gradient of that mean, as ``contrast.contrastive_loss_and_gradient``
+returns its pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .contrast import check_scored_labels
-
-
-@dataclass(frozen=True)
-class LossOutput:
-    value: float
-    grad_logits: np.ndarray
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -43,10 +37,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def bce_loss(logits, labels) -> LossOutput:
+def bce_loss(logits, labels) -> tuple[float, np.ndarray]:
     """Mean sigmoid binary cross-entropy; target is 1 for +1 labels, else 0."""
     logits, pos = check_scored_labels(logits, labels, "logits", "labels")
-    return LossOutput(*_bce(logits, pos, _sigmoid(logits)))
+    return _bce(logits, pos, _sigmoid(logits))
 
 
 def _bce(logits: np.ndarray, pos: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
@@ -74,14 +68,14 @@ def check_gamma(gamma) -> None:
     check_finite_nonnegative("focal gamma", gamma)
 
 
-def focal_loss(logits, labels, gamma: float = 2.0) -> LossOutput:
+def focal_loss(logits, labels, gamma: float = 2.0) -> tuple[float, np.ndarray]:
     """Mean focal loss: cross-entropy damped by (1 - p_t)**gamma.
 
     Reduces exactly to ``bce_loss`` at gamma = 0.
     """
     check_gamma(gamma)
     logits, pos = check_scored_labels(logits, labels, "logits", "labels")
-    return LossOutput(*_focal(logits, pos, gamma))
+    return _focal(logits, pos, gamma)
 
 
 def _focal(logits: np.ndarray, pos: np.ndarray, gamma: float) -> tuple[float, np.ndarray]:

@@ -13,13 +13,15 @@ embedding output, the classification loss at the logits.
 Every parameter lives in one contiguous float64 vector, ``ModelParams.flat``,
 in checkpoint order (w0 b0 w1 b1 ... wc bc); the per-layer arrays are views
 into it. ``backward`` writes the gradient into a second vector of that
-layout, and Adam's moments are two more, so an Adam step or an EMA update is
-a handful of whole-vector operations instead of a loop over arrays.
+layout, and ``AdamState`` holds Adam's two moments and two scratch vectors
+of it, so an Adam step or an EMA update is a handful of whole-vector
+operations instead of a loop over arrays.
 
 Each public function of the training step (``embed_forward``, ``classify``,
 ``backward``, ``adam_step``, ``ema_update``) checks its arguments and then
-calls a private kernel of the same arithmetic, which checks nothing;
-``trainer.train`` calls the kernels on arrays it made itself.
+calls a private kernel that takes the same arguments, does the same
+arithmetic and checks nothing; ``trainer.train`` calls the kernels on arrays
+it made itself.
 """
 
 from __future__ import annotations
@@ -157,11 +159,17 @@ class ForwardCache:
 
 @dataclass
 class AdamState:
-    """First and second moments, vectors with the layout of ``ModelParams.flat``."""
+    """First and second moments, vectors with the layout of ``ModelParams.flat``,
+    and two scratch vectors of that layout, allocated here, that every Adam
+    step overwrites."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty(np.shape(self.m)), np.empty(np.shape(self.m)))
 
 
 def init_params(
@@ -196,15 +204,13 @@ def embed_forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, Forwa
         raise DimensionError(
             f"input must be N x {params.layer_dims[0]}, got {x.shape}"
         )
-    acts, prenorm = _embed_forward(params, x)
-    return acts[-1], ForwardCache(x, acts, prenorm)
+    cache = _embed_forward(params, x)
+    return cache.activations[-1], cache
 
 
-def _embed_forward(
-    params: ModelParams, x: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """``embed_forward`` of a float64 ``x`` of the input width, as
-    (activations, prenorm) (see ``ForwardCache``); no check of its own.
+def _embed_forward(params: ModelParams, x: np.ndarray) -> ForwardCache:
+    """The cache of ``embed_forward`` for a float64 ``x`` of the input width;
+    no check of its own.
 
     Each activation is written in place over its layer's pre-activation.
     """
@@ -223,7 +229,7 @@ def _embed_forward(
                 prenorm = a
                 a = a / np.linalg.norm(a, axis=1, keepdims=True)
         acts.append(a)
-    return acts, prenorm
+    return ForwardCache(x, acts, prenorm)
 
 
 def classify(params: ModelParams, z: np.ndarray) -> np.ndarray:
@@ -265,19 +271,18 @@ def backward(
         raise DimensionError("grad_logits shape mismatch")
     if grad_z is not None and grad_z.shape != z.shape:
         raise DimensionError("grad_z shape mismatch")
-    return _backward(params, cache.x, cache.activations, cache.prenorm, grad_logits, grad_z)
+    return _backward(params, cache, grad_logits, grad_z)
 
 
 def _backward(
     params: ModelParams,
-    x: np.ndarray,
-    acts: list[np.ndarray],
-    prenorm: np.ndarray | None,
+    cache: ForwardCache,
     grad_logits: np.ndarray,
     grad_z: np.ndarray | None,
 ) -> np.ndarray:
-    """``backward`` of the fields of a ``ForwardCache`` and gradients of
-    matching shapes; no check of its own."""
+    """``backward`` of gradients whose shapes match ``cache``; no check of
+    its own."""
+    acts, prenorm = cache.activations, cache.prenorm
     out = params._grad_views
     np.matmul(acts[-1].T, grad_logits, out=out[-2])
     grad_logits.sum(axis=0, out=out[-1])
@@ -304,7 +309,7 @@ def _backward(
             np.expm1(d, out=d)
             np.negative(d, out=d)
             g *= d
-        prev = x if i == 0 else acts[i - 1]
+        prev = cache.x if i == 0 else acts[i - 1]
         np.matmul(prev.T, g, out=out[2 * i])
         g.sum(axis=0, out=out[2 * i + 1])
         if i > 0:
@@ -327,25 +332,18 @@ def adam_step(params: ModelParams, grads: np.ndarray, state: AdamState, lr: floa
         raise DimensionError(
             f"grads must be a vector of {params.flat.size} values, got shape {np.shape(grads)}"
         )
-    _adam_step(params, grads, state, lr, (np.empty_like(params.flat), np.empty_like(params.flat)))
+    _adam_step(params, grads, state, lr)
 
 
-def _adam_step(
-    params: ModelParams,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    scratch: tuple[np.ndarray, np.ndarray],
-) -> None:
+def _adam_step(params: ModelParams, grads: np.ndarray, state: AdamState, lr: float) -> None:
     """``adam_step`` of ``grads`` with the layout of ``params.flat``; no
-    check of its own. ``scratch`` is a pair of float64 vectors of that
-    layout, which it overwrites."""
+    check of its own."""
     state.step += 1
     t = state.step
     correction1 = 1.0 - ADAM_BETA1**t
     correction2 = 1.0 - ADAM_BETA2**t
     m, v = state.m, state.v
-    a, b = scratch
+    a, b = state.scratch
     m *= ADAM_BETA1
     np.multiply(grads, 1.0 - ADAM_BETA1, out=a)
     m += a
@@ -368,17 +366,14 @@ def ema_update(ema_params: ModelParams, params: ModelParams, decay: float) -> No
     check_decay(decay)
     if ema_params.flat.shape != params.flat.shape:
         raise DimensionError("ema and params have different layouts")
-    _ema_update(ema_params, params, decay, np.empty_like(params.flat))
+    _ema_update(ema_params, params, decay)
 
 
-def _ema_update(
-    ema_params: ModelParams, params: ModelParams, decay: float, scratch: np.ndarray
-) -> None:
-    """``ema_update`` of a checked ``decay`` and equal layouts; no check of
-    its own. ``scratch``, a float64 vector of that layout, is overwritten."""
-    np.multiply(params.flat, 1.0 - decay, out=scratch)
+def _ema_update(ema_params: ModelParams, params: ModelParams, decay: float) -> None:
+    """``ema_update`` of a checked ``decay`` and equal layouts; no check of its own."""
+    step = params.flat * (1.0 - decay)
     ema_params.flat *= decay
-    ema_params.flat += scratch
+    ema_params.flat += step
 
 
 def _layout(layer_dims, n_classes: int) -> list[tuple[str, tuple[int, ...]]]:

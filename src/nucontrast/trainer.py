@@ -16,10 +16,8 @@ then calls the unchecked kernels behind those functions on arrays it made
 itself, with the same arithmetic in the same order: ``model._embed_forward``,
 ``model._classify``, ``losses._sigmoid``, ``contrast._correct``,
 ``losses._bce`` or ``losses._focal``, ``model._backward``,
-``model._adam_step`` and ``model._ema_update``. The kernels write
-activations in place and return plain tuples instead of a ``ForwardCache``
-or a ``LossOutput``, and Adam and EMA work through two scratch vectors that
-``train`` allocates once per run. Two guards stay on every step: the public
+``model._adam_step`` and ``model._ema_update``. A kernel takes and returns
+what its public function does. Two guards stay on every step: the public
 ``contrast.contrastive_loss_and_gradient`` rejects a non-finite embedding
 before any SVD, and a non-finite total loss raises with its epoch and batch.
 """
@@ -65,6 +63,10 @@ class TrainConfig:
 
     def __post_init__(self):
         losses.check_finite_nonnegative("lambda_", self.lambda_)
+        if not isinstance(self.use_contrast, (bool, np.bool_)):
+            raise ValueError(f"use_contrast must be a bool, got {self.use_contrast!r}")
+        if not isinstance(self.correction, CorrectionConfig):
+            raise ValueError(f"correction must be a CorrectionConfig, got {self.correction!r}")
         if self.loss_kind not in ("bce", "focal"):
             raise ValueError(f"loss_kind must be 'bce' or 'focal', got {self.loss_kind!r}")
         check_count("epochs", self.epochs, 1)
@@ -125,8 +127,8 @@ class TrainedModel:
 
 def _batch_terms(logits, probs, z, effective, cfg: TrainConfig):
     """(cls_value, contrast_value, grad_logits, grad_z or None) of a step's
-    own arrays: ``probs`` is ``sigmoid(logits)`` (None when only focal loss
-    reads the logits) and ``effective`` holds -1/+1 labels.
+    own arrays: ``probs`` is ``sigmoid(logits)`` and ``effective`` holds
+    -1/+1 labels.
 
     The contrast term comes first, through the public
     ``contrast.contrastive_loss_and_gradient``: it rejects a non-finite
@@ -187,11 +189,9 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
     )
     ema = params.copy() if cfg.ema_decay is not None else None
     state = model.init_adam(params)
-    scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
     shuffle_rng = component_rng(cfg.seed, "shuffle")
 
     active = cfg.contrast_active()
-    needs_probs = active or cfg.loss_kind == "bce"
     history = TrainHistory()
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
@@ -208,10 +208,10 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
             x = shuffled_features[start:stop]
             observed = shuffled_observed[start:stop]
 
-            acts, prenorm = model._embed_forward(params, x)
-            z = acts[-1]
+            cache = model._embed_forward(params, x)
+            z = cache.activations[-1]
             logits = model._classify(params, z)
-            probs = losses._sigmoid(logits) if needs_probs else None
+            probs = losses._sigmoid(logits)
             if correcting:
                 effective = contrast._correct(observed, probs, cfg.correction.threshold)
                 corrected += np.count_nonzero(effective != observed)
@@ -225,10 +225,10 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {n_batches}"
                 )
-            grads = model._backward(params, x, acts, prenorm, grad_logits, grad_z)
-            model._adam_step(params, grads, state, cfg.lr, scratch)
+            grads = model._backward(params, cache, grad_logits, grad_z)
+            model._adam_step(params, grads, state, cfg.lr)
             if ema is not None:
-                model._ema_update(ema, params, cfg.ema_decay, scratch[0])
+                model._ema_update(ema, params, cfg.ema_decay)
 
             cls_sum += cls_value * x.shape[0]
             contrast_sum += c_value

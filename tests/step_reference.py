@@ -120,10 +120,9 @@ def reference_train(ds, cfg):
             else:
                 effective = observed
             if cfg.loss_kind == "focal":
-                out = losses.focal_loss(logits, effective, cfg.focal_gamma)
+                cls_value, grad_logits = losses.focal_loss(logits, effective, cfg.focal_gamma)
             else:
-                out = losses.bce_loss(logits, effective)
-            cls_value, grad_logits = out.value, out.grad_logits
+                cls_value, grad_logits = losses.bce_loss(logits, effective)
             c_value, grad_z = 0.0, None
             if cfg.contrast_active():
                 c_value, c_grad = contrast.contrastive_loss_and_gradient(

@@ -163,13 +163,13 @@ def test_criterion_5_end_to_end_gradients():
             zz, _ = model.embed_forward(p, x)
             logits = model.classify(p, zz)
             return (
-                losses.bce_loss(logits, labels).value
+                losses.bce_loss(logits, labels)[0]
                 + contrast.contrastive_loss_and_gradient(zz, labels)[0]
             )
 
         z, cache = model.embed_forward(params, x)
         logits = model.classify(params, z)
-        grad_logits = losses.bce_loss(logits, labels).grad_logits
+        _, grad_logits = losses.bce_loss(logits, labels)
         grad_z = contrast.contrastive_loss_and_gradient(z, labels)[1]
         grads = model.backward(params, cache, grad_logits, grad_z)
         for arr, g in zip(params.arrays(), params.views(grads)):

@@ -300,6 +300,8 @@ class TestTrain:
         ("lr", "--lr", "inf", "inf"),
         ("sv_threshold", "--sv-threshold", "0", "0.0"),
         ("sv_threshold", "--sv-threshold", "nan", "nan"),
+        ("sv_threshold", "--sv-threshold", "1", "sv_threshold must be in (0, 1), got 1.0"),
+        ("sv_threshold", "--sv-threshold", "inf", "sv_threshold must be in (0, 1), got inf"),
         ("gamma", "--gamma", "-1", "-1.0"),
         ("gamma", "--gamma", "inf", "inf"),
         ("epochs", "--epochs", "0", "epochs must be >= 1, got 0"),

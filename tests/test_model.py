@@ -1,5 +1,6 @@
 """Embedding network, backprop, Adam, EMA, and checkpoint round trips."""
 
+import inspect
 import re
 
 import numpy as np
@@ -135,13 +136,13 @@ class TestBackward:
             z, _ = embed_forward(p, x)
             logits = classify(p, z)
             return (
-                losses.bce_loss(logits, labels).value
+                losses.bce_loss(logits, labels)[0]
                 + contrast.contrastive_loss_and_gradient(z, labels)[0]
             )
 
         z, cache = embed_forward(params, x)
         logits = classify(params, z)
-        grad_logits = losses.bce_loss(logits, labels).grad_logits
+        _, grad_logits = losses.bce_loss(logits, labels)
         grad_z = contrast.contrastive_loss_and_gradient(z, labels)[1]
         grads = backward(params, cache, grad_logits, grad_z)
         step = 1e-5
@@ -433,6 +434,13 @@ def test_public_model_functions_keep_their_checks(case):
     after = [params.flat, params.grad, ema.flat, state.m, state.v]
     assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
     assert state.step == 0
+
+
+@pytest.mark.parametrize("name", ["embed_forward", "classify", "backward", "adam_step", "ema_update"])
+def test_kernel_takes_its_public_functions_arguments(name):
+    # each public function is "check, then kernel", with no conversion between
+    public, kernel = getattr(model, name), getattr(model, "_" + name)
+    assert list(inspect.signature(kernel).parameters) == list(inspect.signature(public).parameters)
 
 
 class TestCheckpoint:

@@ -210,7 +210,7 @@ RULES = (
             repr(v),
             id=f"sv_threshold={v}",
         )
-        for v in (0.0, -1.0, NAN)
+        for v in (0.0, -1.0, NAN, 1.0, INF)
     ]
     + [
         pytest.param(
@@ -359,6 +359,19 @@ RULES = (
     + count_cases("n_features", 1, lambda v: synthetic(n_features=v))
     + count_cases("n_groups", 1, lambda v: synthetic(n_groups=v))
     + [
+        pytest.param(
+            [lambda v=v: TrainConfig(use_contrast=v)],
+            f"use_contrast must be a bool, got {v!r}",
+            id=f"use_contrast={v!r}",
+        )
+        for v in ("no", None, 0.0, 2)
+    ]
+    + [
+        pytest.param(
+            [lambda: TrainConfig(correction=None)],
+            "correction must be a CorrectionConfig, got None",
+            id="correction=None",
+        ),
         pytest.param(
             [
                 lambda: bce_loss(np.zeros((2, 3)), LABELS),

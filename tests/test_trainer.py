@@ -54,9 +54,9 @@ class TestTotalLoss:
 
     def test_lambda_zero_is_classification_only(self):
         cls_value, c_value, grad_logits, grad_z = self.terms(small_config(lambda_=0.0))
-        bce = losses.bce_loss(self.logits, self.labels)
-        assert cls_value == bce.value and c_value == 0.0
-        assert np.array_equal(grad_logits, bce.grad_logits)
+        bce_value, bce_grad = losses.bce_loss(self.logits, self.labels)
+        assert cls_value == bce_value and c_value == 0.0
+        assert np.array_equal(grad_logits, bce_grad)
         assert grad_z is None
 
     def test_default_weight_is_one(self):
@@ -64,7 +64,7 @@ class TestTotalLoss:
 
     def test_linear_composition(self):
         cls_value, c_value, _, grad_z = self.terms(small_config(lambda_=1.0))
-        assert cls_value == losses.bce_loss(self.logits, self.labels).value
+        assert cls_value == losses.bce_loss(self.logits, self.labels)[0]
         value, grad = contrast.contrastive_loss_and_gradient(self.z, self.labels)
         assert c_value == value
         assert np.array_equal(grad_z, grad)
@@ -79,7 +79,7 @@ class TestTotalLoss:
 
     def test_focal_variant(self):
         cls_value, _, _, _ = self.terms(small_config(lambda_=0.0, loss_kind="focal", focal_gamma=1.5))
-        assert cls_value == losses.focal_loss(self.logits, self.labels, 1.5).value
+        assert cls_value == losses.focal_loss(self.logits, self.labels, 1.5)[0]
 
 
 class TestSplit:
@@ -166,9 +166,9 @@ class TestTrain:
         forward = model._embed_forward
 
         def nan_forward(params, x):
-            acts, prenorm = forward(params, x)
-            acts[-1][0, 0] = np.nan
-            return acts, prenorm
+            cache = forward(params, x)
+            cache.activations[-1][0, 0] = np.nan
+            return cache
 
         lapack = []
         monkeypatch.setattr(trainer.model, "_embed_forward", nan_forward)
@@ -250,6 +250,7 @@ class TestMatchesPerStepGather:
             small_config(batch_size=3, output_activation="softplus_unit"),
             small_config(batch_size=2, ema_decay=0.9, use_contrast=False),
             small_config(batch_size=4, output_activation="linear", ema_decay=0.5),
+            small_config(batch_size=2, loss_kind="focal", use_contrast=False, ema_decay=0.9),
         ],
         ids=[
             "b2-ema-correction",
@@ -258,6 +259,7 @@ class TestMatchesPerStepGather:
             "softplus-unit",
             "b2-ema-contrast-off",
             "bce-linear",
+            "focal-contrast-off",
         ],
     )
     def test_checkpoint_and_history_bytes(self, tmp_path, cfg):
