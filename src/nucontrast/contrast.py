@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import DEFAULT_SV_THRESHOLD, DimensionError, check_2d, check_sv_threshold
-from .seeding import check_count
+from .seeding import check_count, check_real
 
 
 def _positive_mask(labels, name: str = "labels") -> np.ndarray:
@@ -58,12 +58,15 @@ def check_scored_labels(scores, labels, scores_name: str, labels_name: str):
 
 
 def check_correction_threshold(threshold) -> None:
+    check_real("correction threshold", threshold)
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"correction threshold must be in (0, 1), got {threshold!r}")
 
 
 def check_probs(probs: np.ndarray) -> None:
     """Require every entry of a validated probability matrix to lie in [0, 1]."""
+    if probs.size == 0:
+        return
     lo, hi = probs.min(), probs.max()
     if lo < 0.0 or hi > 1.0:
         bad = float(lo if lo < 0.0 else hi)

@@ -26,7 +26,7 @@ import numpy as np
 from .contrast import as_label_matrix
 from .fileio import atomic_write
 from .linalg import as_matrix
-from .seeding import check_count, check_seed, component_rng
+from .seeding import check_count, check_real, check_seed, component_rng
 
 
 class DatasetFormatError(ValueError):
@@ -83,6 +83,7 @@ class MissingnessSpec:
     def __post_init__(self):
         if self.mode not in ("keep", "single"):
             raise ValueError(f"mode must be 'keep' or 'single', got {self.mode!r}")
+        check_real("keep ratio", self.ratio)
         if not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"keep ratio must be in (0, 1], got {self.ratio}")
         check_seed(self.seed)
@@ -115,6 +116,7 @@ def generate_synthetic(
     check_count("n_groups", n_groups, 1)
     if n_groups > n_classes:
         raise ValueError(f"n_groups must not exceed n_classes, got {n_groups=} {n_classes=}")
+    check_real("noise", noise)
     if not 0.0 <= noise <= 4.0:
         raise ValueError(f"noise must be in [0, 4], got {noise!r}")
     rng = component_rng(seed, "data")

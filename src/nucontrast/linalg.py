@@ -9,6 +9,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .seeding import check_real
+
 # Default truncation for the nuclear-norm subgradient, as a fraction of the
 # largest singular value (scale invariant).
 DEFAULT_SV_THRESHOLD = 1e-6
@@ -39,6 +41,7 @@ def check_2d(a: np.ndarray, name: str) -> None:
 def check_sv_threshold(sv_threshold) -> None:
     """A fraction of the largest singular value: at 1 or above the cut
     ``s > t * s[0]`` keeps no singular vector."""
+    check_real("sv_threshold", sv_threshold)
     if not 0 < sv_threshold < 1:
         raise ValueError(f"sv_threshold must be in (0, 1), got {sv_threshold!r}")
 

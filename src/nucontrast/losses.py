@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .contrast import check_scored_labels
+from .seeding import check_real
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -60,6 +61,7 @@ def _bce(logits: np.ndarray, pos: np.ndarray, probs: np.ndarray) -> tuple[float,
 
 def check_finite_nonnegative(name: str, value) -> None:
     """The rule for the focal exponent and the structure-loss weight."""
+    check_real(name, value)
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .contrast import check_probs, check_scored_labels
 from .linalg import DimensionError
+from .seeding import check_real
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,7 @@ def _f1(p: float, r: float) -> float:
 
 def check_threshold(threshold: float) -> None:
     """The confidence threshold must be in [0, 1]; NaN is rejected too."""
+    check_real("threshold", threshold)
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
 

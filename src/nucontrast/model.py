@@ -32,7 +32,7 @@ import numpy as np
 
 from .fileio import atomic_write
 from .linalg import DimensionError
-from .seeding import check_count, is_integer
+from .seeding import check_count, check_real, is_integer
 
 
 OUTPUT_ACTIVATIONS = ("linear", "softplus", "softplus_unit")
@@ -51,6 +51,7 @@ def check_activation(output_activation) -> None:
 
 
 def check_decay(decay) -> None:
+    check_real("EMA decay", decay)
     if not 0.0 <= decay < 1.0:
         raise ValueError(f"EMA decay must be in [0, 1), got {decay!r}")
 
@@ -197,13 +198,18 @@ def init_params(
     return ModelParams(dims, weights, biases, cw, np.zeros(n_classes), output_activation)
 
 
-def embed_forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the embedding network; returns (z, cache) with z of shape N x D."""
-    x = np.asarray(x, dtype=np.float64)
+def check_input(params: ModelParams, x: np.ndarray) -> None:
+    """Require an N x F array, F the network's input width."""
     if x.ndim != 2 or x.shape[1] != params.layer_dims[0]:
         raise DimensionError(
             f"input must be N x {params.layer_dims[0]}, got {x.shape}"
         )
+
+
+def embed_forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Run the embedding network; returns (z, cache) with z of shape N x D."""
+    x = np.asarray(x, dtype=np.float64)
+    check_input(params, x)
     cache = _embed_forward(params, x)
     return cache.activations[-1], cache
 

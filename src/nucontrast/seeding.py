@@ -1,4 +1,5 @@
-"""Named random streams (one user seed, a generator per component) and the count rule."""
+"""Named random streams (one user seed, a generator per component), the
+count rule and the type rule of real-valued knobs."""
 
 from __future__ import annotations
 
@@ -25,6 +26,13 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer, not {type(value).__name__}, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """The type rule for every real-valued knob: an ``int``, ``float``, numpy
+    integer or numpy float, not a bool. Each knob's range rule runs after it."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, not {type(value).__name__}, got {value!r}")
 
 
 def check_seed(seed) -> None:

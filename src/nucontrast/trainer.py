@@ -20,6 +20,13 @@ itself, with the same arithmetic in the same order: ``model._embed_forward``,
 what its public function does. Two guards stay on every step: the public
 ``contrast.contrastive_loss_and_gradient`` rejects a non-finite embedding
 before any SVD, and a non-finite total loss raises with its epoch and batch.
+
+``evaluate`` runs the network over a scored set in row blocks through the
+public ``model.embed_forward``, ``model.classify`` and ``losses.sigmoid``,
+and scores the whole set's probabilities once with ``metrics.report``. Its
+memory is about one block of activations plus the ``n x C`` probabilities,
+whatever the set's size; a validation split that fits in one block runs the
+whole-array arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +42,10 @@ from .data import Dataset
 from .linalg import DEFAULT_SV_THRESHOLD, check_sv_threshold
 from .metrics import MetricsReport
 from .model import ModelParams
-from .seeding import check_count, check_seed, component_rng
+from .seeding import check_count, check_real, check_seed, component_rng
+
+# the most rows ``evaluate`` runs through the network at once
+_EVAL_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -71,6 +81,7 @@ class TrainConfig:
             raise ValueError(f"loss_kind must be 'bce' or 'focal', got {self.loss_kind!r}")
         check_count("epochs", self.epochs, 1)
         check_count("batch_size", self.batch_size, 2)
+        check_real("val_fraction", self.val_fraction)
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
         if self.ema_decay is not None:
@@ -80,6 +91,7 @@ class TrainConfig:
             # a tuple of ints whatever sequence was given, e.g. a numpy array
             object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
         check_seed(self.seed)
+        check_real("lr", self.lr)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
         check_sv_threshold(self.sv_threshold)
@@ -250,7 +262,24 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
 
 
 def evaluate(params: ModelParams, ds: Dataset, threshold: float = 0.5) -> MetricsReport:
-    """Metrics of the model's probabilities against the ground-truth labels."""
-    z, _ = model.embed_forward(params, ds.features)
-    probs = losses.sigmoid(model.classify(params, z))
+    """Metrics of the model's probabilities against the ground-truth labels.
+
+    The network runs over the rows in blocks of near-equal size (bounds
+    ``n * i // n_blocks``), each written into one ``n x C`` probability
+    array that ``metrics.report`` scores once. Scoring therefore holds about
+    one block's activations plus the probabilities, not every layer for
+    every row. A set that fits in one block runs the whole-array arithmetic;
+    BLAS may pick its kernel by the number of rows, so the probabilities of
+    a larger set can differ from a one-pass forward in the last bits.
+    """
+    # checked whole, so a wrong width names the set's shape, not a block's
+    model.check_input(params, ds.features)
+    n = ds.n_samples
+    n_blocks = math.ceil(n / _EVAL_BLOCK_ROWS)
+    probs = np.empty((n, ds.n_classes))
+    for i in range(n_blocks):
+        lo, hi = n * i // n_blocks, n * (i + 1) // n_blocks
+        z, cache = model.embed_forward(params, ds.features[lo:hi])
+        probs[lo:hi] = losses.sigmoid(model.classify(params, z))
+        del z, cache  # this block's activations go before the next block's
     return metrics.report(probs, ds.truth, threshold)

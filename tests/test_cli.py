@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: files, exit codes, determinism."""
 
+import hashlib
 import shlex
 from pathlib import Path
 
@@ -405,6 +406,29 @@ class TestEval:
         # the files do not exist: a check that ran after loading would exit 1
         assert run(quiet_argv("eval", tmp_path) + ["--threshold", value]) == 2
         assert capsys.readouterr().err == f"usage error: threshold must be in [0, 1], got {shown}\n"
+
+    def test_large_set_report_bytes(self, tmp_path, capsys):
+        # 10,000 rows take evaluate through several row blocks; the digest is
+        # that of a forward pass over every row at once
+        data_path = tmp_path / "large.txt"
+        assert run(
+            "simulate --mode single --n 10000 --classes 6 --features 8 --groups 4 --noise 1.0 --seed 3".split()
+            + ["--out", str(data_path)]
+        ) == 0
+        rng = np.random.default_rng(4)
+        params = model.init_params((8, 16, 4), 6, rng, "softplus")
+        params.classifier_weight[:] = rng.normal(size=params.classifier_weight.shape)
+        ema = params.copy()
+        ema.classifier_bias[:] = rng.normal(size=6)
+        ckpt = tmp_path / "large_model.txt"
+        model.save_checkpoint(ckpt, params, ema)
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", str(ckpt), "--data", str(data_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("raw\nmap ")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bf6b67e277a78b313a26c57dbe3058758e41242e69472fb1a3616ee3642a9d41"
+        )
 
     def test_ema_checkpoint_prints_both(self, tmp_path, dataset_file, capsys):
         ckpt = tmp_path / "ema.txt"

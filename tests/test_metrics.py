@@ -160,6 +160,10 @@ class TestReport:
         with pytest.raises(ValueError):
             report(np.array([[1.2]]), np.array([[1]]))
 
+    def test_zero_rows_have_nothing_to_evaluate(self):
+        with pytest.raises(ValueError, match="no class has a positive label; nothing to evaluate"):
+            report(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(6)
         probs = rng.random((15, 6))

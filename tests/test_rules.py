@@ -193,6 +193,19 @@ def count_cases(name, minimum, *entries):
     ]
 
 
+def real_cases(name, values, *entries):
+    """Each bool in ``values`` through each entry, a one-argument callable
+    that passes its argument as the real-valued knob ``name``."""
+    return [
+        pytest.param(
+            [lambda e=e, v=v: e(v) for e in entries],
+            f"{name} must be a real number, not bool, got {v!r}",
+            id=f"{name}={v!r}",
+        )
+        for v in values
+    ]
+
+
 def probs_with(value):
     probs = HALF.copy()
     probs[1, 0] = value
@@ -358,6 +371,43 @@ RULES = (
     + count_cases("n_samples", 1, lambda v: synthetic(n_samples=v))
     + count_cases("n_features", 1, lambda v: synthetic(n_features=v))
     + count_cases("n_groups", 1, lambda v: synthetic(n_groups=v))
+    + real_cases("lambda_", (True, False, np.True_), lambda v: TrainConfig(lambda_=v))
+    + real_cases("lr", (True,), lambda v: TrainConfig(lr=v))
+    + real_cases("val_fraction", (False, np.False_), lambda v: TrainConfig(val_fraction=v))
+    + real_cases(
+        "focal gamma",
+        (True, False),
+        lambda v: focal_loss(np.zeros((2, 2)), LABELS, v),
+        lambda v: TrainConfig(focal_gamma=v),
+    )
+    + real_cases(
+        "EMA decay",
+        (False, np.False_),
+        lambda v: ema_update(params(), params(), v),
+        lambda v: TrainConfig(ema_decay=v),
+    )
+    + real_cases(
+        "threshold",
+        (True, np.True_),
+        metrics.check_threshold,
+        lambda v: metrics.report(HALF, LABELS, v),
+        lambda v: evaluate(params(), Dataset(np.zeros((2, 2)), LABELS, LABELS), v),
+    )
+    + real_cases(
+        "sv_threshold",
+        (True,),
+        lambda v: linalg.nuclear_subgradient(np.eye(2), v),
+        lambda v: contrastive_loss_and_gradient(np.eye(2), LABELS, v),
+        lambda v: TrainConfig(sv_threshold=v),
+    )
+    + real_cases(
+        "correction threshold",
+        (False,),
+        lambda v: correct_labels(LABELS, HALF, v),
+        lambda v: CorrectionConfig(threshold=v),
+    )
+    + real_cases("keep ratio", (True, np.True_), lambda v: MissingnessSpec("keep", ratio=v))
+    + real_cases("noise", (True,), lambda v: synthetic(noise=v))
     + [
         pytest.param(
             [lambda v=v: TrainConfig(use_contrast=v)],

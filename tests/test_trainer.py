@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -429,6 +430,90 @@ class TestEvaluate:
         probs = losses.sigmoid(model.classify(trained.params, z))
         direct = metrics.report(probs, ds.truth)
         assert evaluate(trained.params, ds).map == direct.map
+
+
+def one_pass_report(params, ds):
+    """``evaluate``'s report from one forward pass over every row."""
+    z, _ = model.embed_forward(params, ds.features)
+    return metrics.report(losses.sigmoid(model.classify(params, z)), ds.truth)
+
+
+def scoring_model(seed, dims=(32, 64, 32), n_classes=10):
+    """A network whose head is not zero, so each row scores differently."""
+    rng = np.random.default_rng(seed)
+    params = model.init_params(dims, n_classes, rng, "softplus")
+    params.classifier_weight[:] = rng.normal(size=params.classifier_weight.shape)
+    params.classifier_bias[:] = rng.normal(size=n_classes)
+    return params
+
+
+def scored_set(n, seed, n_features=32, n_classes=10):
+    """Random rows; the last class's sole positive is the last row."""
+    rng = np.random.default_rng(seed)
+    truth = np.where(rng.random((n, n_classes)) < 0.3, 1, -1)
+    truth[np.arange(n), rng.integers(0, n_classes - 1, n)] = 1
+    truth[:, -1] = -1
+    truth[-1, -1] = 1
+    return Dataset(rng.normal(size=(n, n_features)), truth, truth)
+
+
+class TestEvaluateInBlocks:
+    @pytest.mark.parametrize("n", [1, 400, 4096])
+    def test_one_block_report_is_the_one_pass_report(self, n):
+        ds, params = scored_set(n, seed=n), scoring_model(seed=n)
+        got, want = evaluate(params, ds), one_pass_report(params, ds)
+        assert got.to_text() == want.to_text()
+        assert repr(got.map) == repr(want.map)
+        assert got.per_class_ap.tobytes() == want.per_class_ap.tobytes()
+        assert got.skipped_classes == want.skipped_classes
+
+    def test_every_row_is_scored_once(self):
+        ds, params = scored_set(3 * 4096 + 1, seed=5), scoring_model(seed=5)
+        got, want = evaluate(params, ds), one_pass_report(params, ds)
+        assert abs(got.map - want.map) <= 1e-12
+        # the last class ranks only the last row: a dropped or doubled tail moves it
+        assert abs(got.per_class_ap[-1] - want.per_class_ap[-1]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n, rows",
+        [(4096, [4096]), (4097, [2048, 2049]), (3 * 4096 + 1, [3072, 3072, 3072, 3073])],
+    )
+    def test_blocks_are_contiguous_and_near_equal(self, monkeypatch, n, rows):
+        ds, params = scored_set(n, seed=6, n_features=4, n_classes=3), scoring_model(6, (4, 3), 3)
+        starts = []
+        forward = model.embed_forward
+
+        def record(p, x):
+            starts.append((x.shape[0], np.shares_memory(x, ds.features)))
+            return forward(p, x)
+
+        monkeypatch.setattr(model, "embed_forward", record)
+        evaluate(params, ds)
+        assert starts == [(r, True) for r in rows]
+
+    def test_peak_memory_is_bounded_by_a_block(self):
+        ds = generate_synthetic(20_000, 10, 32, 4, 3.0, seed=1)
+        params = scoring_model(seed=1)
+        tracemalloc.start()
+        try:
+            evaluate(params, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one pass over every row holds 19.4 MiB here
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("n", [120, 5000])
+    def test_wrong_width_names_the_whole_input(self, n):
+        ds = Dataset(np.zeros((n, 5)), np.ones((n, 1)), np.ones((n, 1)))
+        with pytest.raises(linalg.DimensionError) as caught:
+            evaluate(scoring_model(0, (8, 4), 1), ds)
+        assert str(caught.value) == f"input must be N x 8, got ({n}, 5)"
+
+    def test_zero_rows_have_nothing_to_evaluate(self):
+        ds = Dataset(np.zeros((0, 8)), np.zeros((0, 3)), np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="no class has a positive label; nothing to evaluate"):
+            evaluate(scoring_model(0, (8, 4), 3), ds)
 
 
 def test_history_text_format():
