@@ -276,7 +276,8 @@ def evaluate(params: ModelParams, ds: Dataset, threshold: float = 0.5) -> Metric
     model.check_input(params, ds.features)
     n = ds.n_samples
     n_blocks = math.ceil(n / _EVAL_BLOCK_ROWS)
-    probs = np.empty((n, ds.n_classes))
+    # the model's width, so a class-count mismatch reaches metrics.report's check
+    probs = np.empty((n, params.n_classes))
     for i in range(n_blocks):
         lo, hi = n * i // n_blocks, n * (i + 1) // n_blocks
         z, cache = model.embed_forward(params, ds.features[lo:hi])

@@ -169,8 +169,8 @@ HALF = np.full((2, 2), 0.5)
 BAD_TRUTH = np.array([[1, -1], [-1, -1]])
 
 
-def params():
-    return init_params((2, 2), 2, component_rng(0, "init"))
+def params(n_classes=2):
+    return init_params((2, 2), n_classes, component_rng(0, "init"))
 
 
 def synthetic(**counts):
@@ -428,9 +428,18 @@ RULES = (
                 lambda: focal_loss(np.zeros((2, 3)), LABELS),
                 lambda: correct_labels(LABELS, np.full((2, 3), 0.5), 0.6),
                 lambda: metrics.report(np.full((2, 3), 0.5), LABELS),
+                lambda: evaluate(params(3), Dataset(np.zeros((2, 2)), LABELS, LABELS)),
             ],
             "score shape (2, 3) does not match label shape (2, 2)",
             id="score-label-shapes",
+        ),
+        pytest.param(
+            [
+                lambda: metrics.report(np.full((2, 1), 0.5), LABELS),
+                lambda: evaluate(params(1), Dataset(np.zeros((2, 2)), LABELS, LABELS)),
+            ],
+            "score shape (2, 1) does not match label shape (2, 2)",
+            id="one-class-model-on-two-classes",
         ),
     ]
 )
