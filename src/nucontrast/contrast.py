@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import DEFAULT_SV_THRESHOLD, DimensionError, check_2d, check_sv_threshold
-from .seeding import check_count, check_real
+from .seeding import check_count, check_range
 
 
 def _positive_mask(labels, name: str = "labels") -> np.ndarray:
@@ -58,9 +58,7 @@ def check_scored_labels(scores, labels, scores_name: str, labels_name: str):
 
 
 def check_correction_threshold(threshold) -> None:
-    check_real("correction threshold", threshold)
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"correction threshold must be in (0, 1), got {threshold!r}")
+    check_range("correction threshold", threshold, 0, 1, "()")
 
 
 def check_probs(probs: np.ndarray) -> None:
@@ -88,6 +86,10 @@ class CorrectionConfig:
     def __post_init__(self):
         check_correction_threshold(self.threshold)
         check_count("start_epoch", self.start_epoch, 1)
+
+    def gate_open(self, epoch: int) -> bool:
+        """The epoch gate's one home: correction applies from ``start_epoch`` on."""
+        return epoch >= self.start_epoch
 
 
 def _check_pair(z, labels):
@@ -183,6 +185,6 @@ def effective_labels(observed, probs, epoch: int, cfg: CorrectionConfig) -> np.n
     Before ``cfg.start_epoch`` the observed labels pass through untouched;
     from then on they are corrected against the current predictions.
     """
-    if epoch < cfg.start_epoch:
+    if not cfg.gate_open(epoch):
         return as_label_matrix(observed, "observed")
     return correct_labels(observed, probs, cfg.threshold)

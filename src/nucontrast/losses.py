@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .contrast import check_scored_labels
-from .seeding import check_real
+from .seeding import check_range
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -59,15 +59,8 @@ def _bce(logits: np.ndarray, pos: np.ndarray, probs: np.ndarray) -> tuple[float,
     return value, grad
 
 
-def check_finite_nonnegative(name: str, value) -> None:
-    """The rule for the focal exponent and the structure-loss weight."""
-    check_real(name, value)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-
 def check_gamma(gamma) -> None:
-    check_finite_nonnegative("focal gamma", gamma)
+    check_range("focal gamma", gamma, 0, math.inf, "[)")
 
 
 def focal_loss(logits, labels, gamma: float = 2.0) -> tuple[float, np.ndarray]:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contrast import check_probs, check_scored_labels
-from .linalg import DimensionError
-from .seeding import check_real
+from .seeding import check_range
 
 
 @dataclass(frozen=True)
@@ -48,15 +47,18 @@ class MetricsReport:
 def average_precision(scores, truth) -> float:
     """Exact (all-point) average precision of one class.
 
-    Samples are ranked by descending score, ties keeping their original
-    order; AP is the mean over the positives of the precision at each
-    positive's rank.
+    Samples (finite scores, -1/+1 labels: ``contrast.check_scored_labels``)
+    are ranked by descending score, ties keeping their original order; AP is
+    the mean over the positives of the precision at each positive's rank.
     """
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    truth = np.asarray(truth).ravel()
-    if scores.shape != truth.shape:
-        raise DimensionError("scores and truth lengths differ")
-    positive = truth == 1
+    scores, positive = check_scored_labels(
+        np.reshape(scores, (-1, 1)), np.reshape(truth, (-1, 1)), "scores", "truth"
+    )
+    return _average_precision(scores[:, 0], positive[:, 0])
+
+
+def _average_precision(scores: np.ndarray, positive: np.ndarray) -> float:
+    """``average_precision`` of float64 scores and a bool mask; no check of its own."""
     n_pos = int(positive.sum())
     if n_pos == 0:
         raise ValueError("average precision needs at least one positive")
@@ -72,9 +74,7 @@ def _f1(p: float, r: float) -> float:
 
 def check_threshold(threshold: float) -> None:
     """The confidence threshold must be in [0, 1]; NaN is rejected too."""
-    check_real("threshold", threshold)
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
+    check_range("threshold", threshold, 0, 1, "[]")
 
 
 def report(probs, truth, threshold: float = 0.5) -> MetricsReport:
@@ -93,7 +93,7 @@ def report(probs, truth, threshold: float = 0.5) -> MetricsReport:
         if not actual[:, k].any():
             skipped.append(k)
             continue
-        per_class_ap[k] = average_precision(probs[:, k], actual[:, k])
+        per_class_ap[k] = _average_precision(probs[:, k], actual[:, k])
         tp = float((pred[:, k] & actual[:, k]).sum())
         n_pred = float(pred[:, k].sum())
         precisions.append(tp / n_pred if n_pred > 0 else 0.0)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .fileio import atomic_write
 from .linalg import DimensionError
-from .seeding import check_count, check_real, is_integer
+from .seeding import check_count, check_range, is_integer
 
 
 OUTPUT_ACTIVATIONS = ("linear", "softplus", "softplus_unit")
@@ -51,9 +51,7 @@ def check_activation(output_activation) -> None:
 
 
 def check_decay(decay) -> None:
-    check_real("EMA decay", decay)
-    if not 0.0 <= decay < 1.0:
-        raise ValueError(f"EMA decay must be in [0, 1), got {decay!r}")
+    check_range("EMA decay", decay, 0, 1, "[)")
 
 
 def check_layer_dims(layer_dims) -> None:

@@ -1,5 +1,5 @@
 """Named random streams (one user seed, a generator per component), the
-count rule and the type rule of real-valued knobs."""
+count rule and the range rule of real-valued knobs."""
 
 from __future__ import annotations
 
@@ -28,11 +28,22 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-def check_real(name: str, value) -> None:
-    """The type rule for every real-valued knob: an ``int``, ``float``, numpy
-    integer or numpy float, not a bool. Each knob's range rule runs after it."""
+def check_range(name: str, value, low, high, bounds: str) -> None:
+    """The rule for every real-valued knob: an ``int``, ``float``, numpy
+    integer or numpy float, not a bool, in the interval from ``low`` to
+    ``high`` with ends ``bounds``, one of ``"()"``, ``"[)"``, ``"(]"`` and
+    ``"[]"``. NaN is in no interval. An infinite ``high`` must be open."""
     if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, not {type(value).__name__}, got {value!r}")
+    # strictly inside needs no look at ``bounds``: the per-step cost stays two comparisons
+    if (low < value or bounds[0] == "[" and value == low) and (
+        value < high or bounds[1] == "]" and value == high
+    ):
+        return
+    if high == np.inf:
+        relation = ">=" if bounds[0] == "[" else ">"
+        raise ValueError(f"{name} must be finite and {relation} {low}, got {value!r}")
+    raise ValueError(f"{name} must be in {bounds[0]}{low}, {high}{bounds[1]}, got {value!r}")
 
 
 def check_seed(seed) -> None:

@@ -42,10 +42,14 @@ from .data import Dataset
 from .linalg import DEFAULT_SV_THRESHOLD, check_sv_threshold
 from .metrics import MetricsReport
 from .model import ModelParams
-from .seeding import check_count, check_real, check_seed, component_rng
+from .seeding import check_count, check_range, check_seed, component_rng
 
 # the most rows ``evaluate`` runs through the network at once
 _EVAL_BLOCK_ROWS = 4096
+
+
+def check_val_fraction(val_fraction) -> None:
+    check_range("val_fraction", val_fraction, 0, 1, "[)")
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        losses.check_finite_nonnegative("lambda_", self.lambda_)
+        check_range("lambda_", self.lambda_, 0, math.inf, "[)")
         if not isinstance(self.use_contrast, (bool, np.bool_)):
             raise ValueError(f"use_contrast must be a bool, got {self.use_contrast!r}")
         if not isinstance(self.correction, CorrectionConfig):
@@ -81,9 +85,7 @@ class TrainConfig:
             raise ValueError(f"loss_kind must be 'bce' or 'focal', got {self.loss_kind!r}")
         check_count("epochs", self.epochs, 1)
         check_count("batch_size", self.batch_size, 2)
-        check_real("val_fraction", self.val_fraction)
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction!r}")
+        check_val_fraction(self.val_fraction)
         if self.ema_decay is not None:
             model.check_decay(self.ema_decay)
         if self.layer_dims is not None:
@@ -91,9 +93,7 @@ class TrainConfig:
             # a tuple of ints whatever sequence was given, e.g. a numpy array
             object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
         check_seed(self.seed)
-        check_real("lr", self.lr)
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        check_range("lr", self.lr, 0, math.inf, "()")
         check_sv_threshold(self.sv_threshold)
         losses.check_gamma(self.focal_gamma)
         model.check_activation(self.output_activation)
@@ -168,7 +168,8 @@ def split_dataset(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset,
     ``ds`` holds now: ``Dataset`` is mutable, and an entry written into it
     after construction is caught here.
     """
-    n_val = int(round(ds.n_samples * max(val_fraction, 0.0)))
+    check_val_fraction(val_fraction)
+    n_val = int(round(ds.n_samples * val_fraction))
     if n_val == 0:
         return Dataset(ds.features, ds.truth, ds.observed), None
     perm = component_rng(seed, "split").permutation(ds.n_samples)
@@ -210,7 +211,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
         # one gather per epoch; each batch is a slice (a view) of it
         shuffled_features = train_ds.features[order]
         shuffled_observed = train_ds.observed[order]
-        correcting = active and epoch >= cfg.correction.start_epoch
+        correcting = active and cfg.correction.gate_open(epoch)
         cls_sum = 0.0
         contrast_sum = 0.0
         corrected = 0

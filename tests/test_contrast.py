@@ -498,6 +498,10 @@ class TestEffectiveLabels:
         got = effective_labels(np.array([[-1]]), np.array([[0.95]]), 1, self.CFG)
         assert got[0, 0] == 1
 
+    def test_gate_opens_at_start_epoch(self):
+        cfg = CorrectionConfig(start_epoch=3)
+        assert [cfg.gate_open(epoch) for epoch in (1, 2, 3, 4)] == [False, False, True, True]
+
     def test_idempotent(self):
         rng = np.random.default_rng(12)
         observed = labels_with_positive_rows(rng, 6, 4)

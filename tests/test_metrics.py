@@ -71,6 +71,18 @@ class TestAveragePrecision:
         with pytest.raises(ValueError):
             average_precision([0.5, 0.4], [-1, -1])
 
+    def test_rejects_a_non_finite_score(self):
+        with pytest.raises(ValueError, match="^scores contains non-finite entries$"):
+            average_precision([np.nan, 0.5], [1, -1])
+
+    def test_rejects_a_label_other_than_plus_or_minus_one(self):
+        with pytest.raises(ValueError, match=r"^truth entries must all be -1 or \+1$"):
+            average_precision([0.2, 0.5], [1, 7])
+
+    def test_rejects_lengths_that_differ(self):
+        with pytest.raises(DimensionError, match=r"score shape \(3, 1\) does not match"):
+            average_precision([0.2, 0.5, 0.1], [1, -1])
+
     def test_ties_stable_original_order(self):
         scores = [0.5, 0.5, 0.5]
         for truth in ([1, -1, -1], [-1, 1, -1], [-1, -1, 1]):

@@ -1,13 +1,16 @@
 """Each validation rule is written once.
 
-Four checks: no raise message template appears at two raise sites anywhere
+Five checks: no raise message template appears at two raise sites anywhere
 in the package; no raise site states a count's range itself, since
 ``seeding.check_count``, whose message names the minimum through a
-replacement field, is the count rule's one home; the CLI leaves type and
-choice checks to its own converters and the library, never to argparse; and
-for every value rule that more than one entry point enforces, each of those
+replacement field, is the count rule's one home; no raise site outside
+``seeding.py`` states an interval, since ``seeding.check_range`` is the one
+home of every real-valued knob's range; the CLI leaves type and choice
+checks to its own converters and the library, never to argparse; and for
+every value rule that more than one entry point enforces, each of those
 entries rejects a bad value with the same exception type and the same
-message.
+message. The range rule's edges and the message of each real-valued knob
+are pinned here too.
 """
 
 import ast
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nucontrast import checks, cli, linalg, metrics
+from nucontrast import checks, cli, contrast, linalg, losses, metrics, model
 from nucontrast.contrast import (
     CorrectionConfig,
     as_label_matrix,
@@ -31,8 +34,8 @@ from nucontrast.contrast import (
 from nucontrast.data import Dataset, MissingnessSpec, drop_labels, generate_synthetic
 from nucontrast.losses import bce_loss, focal_loss
 from nucontrast.model import ema_update, init_params
-from nucontrast.seeding import component_rng
-from nucontrast.trainer import TrainConfig, evaluate
+from nucontrast.seeding import check_range, component_rng
+from nucontrast.trainer import TrainConfig, evaluate, split_dataset
 
 SRC = Path(__file__).parents[1] / "src" / "nucontrast"
 
@@ -122,6 +125,47 @@ def test_count_range_finder_sees_a_restatement():
     }
 
 
+# an interval stated in a message: "must be in (0, 1)", "must be finite and >= 0";
+# a replacement field may stand for a bracket, as in check_range's own message
+INTERVAL = re.compile(r".*must be (in [(\[{].*[)\]}]|finite and).*")
+
+
+def intervals_outside_home(sites):
+    """The sites of ``sites`` that state an interval outside ``seeding.py``."""
+    outside = {
+        t: [(name, line) for name, line in where if name != "seeding.py"]
+        for t, where in sites.items()
+        if INTERVAL.fullmatch(t)
+    }
+    return {t: where for t, where in outside.items() if where}
+
+
+def test_intervals_are_stated_only_by_the_range_rule():
+    sites = raise_sites(package_sources())
+    # the walk saw the range rule's own two messages
+    assert sum(1 for t in sites if INTERVAL.fullmatch(t)) == 2
+    assert intervals_outside_home(sites) == {}
+
+
+def test_interval_finder_sees_a_restatement():
+    source = textwrap.dedent(
+        """
+        def f(x, name):
+            raise ValueError(f"noise must be in [0, 4], got {x!r}")
+            raise ValueError(f"{name} must be in (0, 1], got {x}")
+            raise ValueError(f"lr must be finite and > 0, got {x!r}")
+            raise ValueError(f"probs entries must lie in [0, 1], got {x!r}")
+            raise ValueError(f"{name} must be >= 1, got {x!r}")
+        """
+    )
+    assert intervals_outside_home(raise_sites({"m.py": source})) == {
+        "noise must be in [0, 4], got {}": [("m.py", 3)],
+        "{} must be in (0, 1], got {}": [("m.py", 4)],
+        "lr must be finite and > 0, got {}": [("m.py", 5)],
+    }
+    assert intervals_outside_home(raise_sites({"seeding.py": source})) == {}
+
+
 def add_argument_keywords(source):
     """[(line, keyword names)] of every ``add_argument`` call; ``**kwargs``
     shows as None."""
@@ -204,6 +248,10 @@ def real_cases(name, values, *entries):
         )
         for v in values
     ]
+
+
+def split(val_fraction):
+    return split_dataset(Dataset(np.zeros((2, 2)), LABELS, LABELS), val_fraction, 0)
 
 
 def probs_with(value):
@@ -373,7 +421,20 @@ RULES = (
     + count_cases("n_groups", 1, lambda v: synthetic(n_groups=v))
     + real_cases("lambda_", (True, False, np.True_), lambda v: TrainConfig(lambda_=v))
     + real_cases("lr", (True,), lambda v: TrainConfig(lr=v))
-    + real_cases("val_fraction", (False, np.False_), lambda v: TrainConfig(val_fraction=v))
+    + [
+        pytest.param(
+            [lambda v=v: TrainConfig(val_fraction=v), lambda v=v: split(v)],
+            f"val_fraction must be in [0, 1), got {v!r}",
+            id=f"val_fraction={v}",
+        )
+        for v in (1.5, 1.0, NAN, -0.1)
+    ]
+    + real_cases(
+        "val_fraction",
+        (False, np.False_, True),
+        lambda v: TrainConfig(val_fraction=v),
+        split,
+    )
     + real_cases(
         "focal gamma",
         (True, False),
@@ -471,4 +532,95 @@ def test_train_sets_every_train_config_field(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert [set(kwargs) for kwargs in built] == [
         {f.name for f in dataclasses.fields(TrainConfig)}
+    ]
+
+
+# value, low, high, bounds, message ("" where the value is in range)
+RANGE_EDGES = [
+    (0.0, 0, 1, "[)", ""),
+    (0.0, 0, 1, "()", "x must be in (0, 1), got 0.0"),
+    (-0.0, 0, 1, "[]", ""),
+    (-0.0, 0, 1, "(]", "x must be in (0, 1], got -0.0"),
+    (1.0, 0, 1, "(]", ""),
+    (1.0, 0, 1, "[)", "x must be in [0, 1), got 1.0"),
+    (np.float64(1.0), 0, 1, "[]", ""),
+    (np.float64(1.0), 0, 1, "()", "x must be in (0, 1), got np.float64(1.0)"),
+    (np.float32(0.0), 0, 1, "[)", ""),
+    (np.float32(0.0), 0, 1, "(]", "x must be in (0, 1], got np.float32(0.0)"),
+    (np.int64(4), 0, 4, "[]", ""),
+    (np.int64(4), 0, 4, "[)", "x must be in [0, 4), got np.int64(4)"),
+    (np.int64(0), 0, math.inf, "[)", ""),
+    (np.int64(0), 0, math.inf, "()", "x must be finite and > 0, got np.int64(0)"),
+    (1e308, 0, math.inf, "()", ""),
+    (NAN, 0, 1, "[]", "x must be in [0, 1], got nan"),
+    (NAN, 0, math.inf, "[)", "x must be finite and >= 0, got nan"),
+    (np.float64(NAN), 0, 1, "()", "x must be in (0, 1), got np.float64(nan)"),
+    (INF, 0, math.inf, "[)", "x must be finite and >= 0, got inf"),
+    (INF, 0, 1, "[]", "x must be in [0, 1], got inf"),
+    (-INF, 0, math.inf, "()", "x must be finite and > 0, got -inf"),
+    (-INF, 0, 1, "[]", "x must be in [0, 1], got -inf"),
+    (True, 0, 1, "[]", "x must be a real number, not bool, got True"),
+    (False, 0, 1, "[]", "x must be a real number, not bool, got False"),
+    (np.bool_(True), 0, math.inf, "[)", "x must be a real number, not bool, got np.True_"),
+    ("0.5", 0, 1, "()", "x must be a real number, not str, got '0.5'"),
+    (None, 0, 1, "()", "x must be a real number, not NoneType, got None"),
+    (np.array(0.5), 0, 1, "()", "x must be a real number, not ndarray, got array(0.5)"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, low, high, bounds, message",
+    RANGE_EDGES,
+    ids=[f"{v!r}-in-{b[0]}{lo},{hi}{b[1]}" for v, lo, hi, b, _ in RANGE_EDGES],
+)
+def test_range_rule_edges(value, low, high, bounds, message):
+    if not message:
+        check_range("x", value, low, high, bounds)
+        return
+    with pytest.raises(ValueError) as caught:
+        check_range("x", value, low, high, bounds)
+    assert str(caught.value) == message
+
+
+# every real-valued knob: one entry, its range message before ", got", and
+# the values it accepts; the messages are those the hand-written checks raised
+KNOB_VALUES = (
+    NAN, INF, -INF, -0.0, 0.0, 0, 0.5, 1, 1.0, -1.0, 2.5, 5.0,
+    np.float64(2.5), np.float32(-1.0), np.int64(0),
+)
+NONNEGATIVE = {-0.0, 0, 0.5, 1, 2.5, 5.0}  # -0.0 == 0.0 == 0, 1.0 == 1
+KNOBS = [
+    ("lambda_", lambda v: TrainConfig(lambda_=v), "lambda_ must be finite and >= 0", NONNEGATIVE),
+    ("val_fraction", lambda v: TrainConfig(val_fraction=v), "val_fraction must be in [0, 1)",
+     {0, 0.5}),
+    ("lr", lambda v: TrainConfig(lr=v), "lr must be finite and > 0", {0.5, 1, 2.5, 5.0}),
+    ("sv_threshold", linalg.check_sv_threshold, "sv_threshold must be in (0, 1)", {0.5}),
+    ("correction threshold", contrast.check_correction_threshold,
+     "correction threshold must be in (0, 1)", {0.5}),
+    ("EMA decay", model.check_decay, "EMA decay must be in [0, 1)", {0, 0.5}),
+    ("focal gamma", losses.check_gamma, "focal gamma must be finite and >= 0", NONNEGATIVE),
+    ("threshold", metrics.check_threshold, "threshold must be in [0, 1]", {0, 0.5, 1}),
+    ("keep ratio", lambda v: MissingnessSpec("keep", ratio=v), "keep ratio must be in (0, 1]",
+     {0.5, 1}),
+    ("noise", lambda v: synthetic(noise=v), "noise must be in [0, 4]", {0, 0.5, 1, 2.5}),
+]
+
+
+def outcome(entry, value):
+    try:
+        entry(value)
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
+@pytest.mark.parametrize("name, entry, rule, accepted", KNOBS, ids=[k[0] for k in KNOBS])
+def test_knob_messages(name, entry, rule, accepted):
+    assert [outcome(entry, v) for v in KNOB_VALUES] == [
+        "" if v in accepted else f"{rule}, got {v!r}" for v in KNOB_VALUES
+    ]
+    assert [outcome(entry, v) for v in (True, np.True_, "0.5")] == [
+        f"{name} must be a real number, not bool, got True",
+        f"{name} must be a real number, not bool, got np.True_",
+        f"{name} must be a real number, not str, got '0.5'",
     ]

@@ -216,6 +216,18 @@ class TestTrain:
         _, history = train(ds, cfg_gated)
         assert all(e.corrected == 0 for e in history.epochs)
 
+    def test_correction_gate_has_one_home(self, monkeypatch):
+        # train and effective_labels both ask CorrectionConfig.gate_open
+        cfg = small_config(epochs=2, correction=CorrectionConfig(threshold=0.4, start_epoch=1))
+        _, history = train(small_dataset(), cfg)
+        assert all(e.corrected > 0 for e in history.epochs)
+        monkeypatch.setattr(CorrectionConfig, "gate_open", lambda self, epoch: False)
+        _, history = train(small_dataset(), cfg)
+        assert all(e.corrected == 0 for e in history.epochs)
+        observed = np.array([[-1, 1]])
+        got = contrast.effective_labels(observed, np.full((1, 2), 0.99), 5, cfg.correction)
+        assert np.array_equal(got, observed)
+
     def test_config_is_frozen(self):
         # a value assigned after construction would never be checked
         cfg = TrainConfig(epochs=2, batch_size=16, lr=1e-3)
