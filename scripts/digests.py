@@ -6,15 +6,19 @@ Imports ``nucontrast`` from the given ``src/`` tree and prints one line per
 digest: the SHA-256 of checkpoint text plus history text for 9 training
 configs on 2 seeds (400 rows, noise 3.0, 3 epochs), then the SHA-256 of the
 stdout of ``gradcheck --trials 50 --seed 0`` and ``selftest --trials 50
---seed 0``. Run it on two trees and diff the output: a change that must not
-move bytes prints the same lines. The last line says whether ``lambda_=0``
-still trains the same bytes as ``use_contrast=False``.
+--seed 0``, then the SHA-256 of the file ``save_dataset`` writes for three
+synthetic sets: 20,000 x 32 and 2,000 x 32, which fall on the two sides of
+``data._PARALLEL_VALUES`` (a save on two cores and one on one core), and one
+made with ``n_groups=1``. Run it on two trees and diff the output: a change
+that must not move bytes prints the same lines. The last line says whether
+``lambda_=0`` still trains the same bytes as ``use_contrast=False``.
 """
 
 import contextlib
 import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 SEEDS = (1, 2)
@@ -67,6 +71,24 @@ def check_digest(cli, command: str) -> str:
     return sha256(f"{out.getvalue()}exit {code}\n")
 
 
+# generate_synthetic arguments after the sizes: n_groups, noise, seed
+DATASETS = {
+    "20000x32": (20000, 10, 32, 6, 1.0, 3),
+    "2000x32": (2000, 10, 32, 6, 1.0, 3),
+    "groups-1": (400, 10, 32, 1, 3.0, 3),
+}
+
+
+def dataset_digests(nc):
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.txt"
+        for name, args in DATASETS.items():
+            nc.save_dataset(nc.generate_synthetic(*args), path)
+            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -80,6 +102,8 @@ def main(argv) -> int:
         print(f"train {name} seed {seed} {digest}")
     for command in ("gradcheck", "selftest"):
         print(f"{command} --trials 50 --seed 0 {check_digest(cli, command)}")
+    for name, digest in dataset_digests(nc).items():
+        print(f"dataset {name} {digest}")
     same = all(digests["lambda-0", s] == digests["no-contrast", s] for s in SEEDS)
     print(f"lambda_=0 equals use_contrast=False: {same}")
     return 0

@@ -183,8 +183,13 @@ def effective_labels(observed, probs, epoch: int, cfg: CorrectionConfig) -> np.n
     """Labels the batch trains on at ``epoch`` (1-based).
 
     Before ``cfg.start_epoch`` the observed labels pass through untouched;
-    from then on they are corrected against the current predictions.
+    from then on they are corrected against the current predictions. The
+    arguments are checked at every epoch, the gate's closed ones included.
     """
+    probs, _ = check_scored_labels(probs, observed, "probs", "observed")
+    check_probs(probs)
+    check_count("epoch", epoch, 0)
+    observed = np.asarray(observed)
     if not cfg.gate_open(epoch):
-        return as_label_matrix(observed, "observed")
-    return correct_labels(observed, probs, cfg.threshold)
+        return observed.astype(np.int8)
+    return _correct(observed, probs, cfg.threshold)

@@ -510,6 +510,24 @@ class TestEffectiveLabels:
         twice = effective_labels(once, probs, 3, self.CFG)
         assert np.array_equal(once, twice)
 
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([[np.nan, 7.0]], "probs contains non-finite entries"),
+            ([[0.5]], r"score shape \(1, 1\) does not match label shape \(1, 2\)"),
+        ],
+    )
+    def test_closed_gate_checks_probs_as_the_open_one(self, probs, message):
+        cfg = CorrectionConfig(start_epoch=3)
+        for epoch in (1, 3):
+            with pytest.raises(ValueError, match=message):
+                effective_labels([[1, -1]], probs, epoch, cfg)
+
+    @pytest.mark.parametrize("epoch", [1.5, True, np.nan, -1])
+    def test_bad_epoch(self, epoch):
+        with pytest.raises(ValueError, match="epoch must be"):
+            effective_labels([[1, -1]], [[0.5, 0.5]], epoch, CorrectionConfig(start_epoch=3))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CorrectionConfig(threshold=0.0)

@@ -1,8 +1,11 @@
 """Dataset and checkpoint text I/O: pinned bytes, bit-exact round trips, the
 numpy fast path and the chunked reader against the whole-file per-line
-parser, memory, and atomic writes."""
+parser, the two-core writer against the one-core one, memory, and atomic
+writes."""
 
 import hashlib
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -169,6 +172,200 @@ class TestSaveMatchesPerRowWriter:
         save_dataset(ds, tmp_path / "got.txt")
         reference_save_dataset(ds, tmp_path / "want.txt")
         assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
+def random_dataset(n, f, seed):
+    """``n`` x ``f`` features of random bit patterns, with valid labels."""
+    ds = generate_synthetic(n, 3, f, 2, 1.0, seed)
+    features = random_finite(np.random.default_rng(seed), n * f).reshape(n, f)
+    return Dataset(features, ds.truth, ds.observed)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every dataset save forks; returns the pids the parent was given."""
+    monkeypatch.setattr(data, "_PARALLEL_VALUES", 1)
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def acting_in(side, action):
+    """A ``_write_rows`` that first runs ``action()`` in the saving process
+    (``side`` "parent") or in a process forked from it ("child") only."""
+    parent, real = os.getpid(), data._write_rows
+
+    def write_rows(fh, features):
+        if (os.getpid() == parent) == (side == "parent"):
+            action()
+        real(fh, features)
+
+    return write_rows
+
+
+def raising(error):
+    def action():
+        raise error
+
+    return action
+
+
+@needs_fork
+class TestTwoCoreWriter:
+    @pytest.mark.parametrize("f", [1, 32])
+    @pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 4097])
+    def test_same_bytes_as_one_core(self, tmp_path, forks, n, f):
+        ds = random_dataset(n, f, n + f)
+        save_dataset(ds, tmp_path / "got.txt")
+        reference_save_dataset(ds, tmp_path / "want.txt")
+        assert len(forks) == 1
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["got.txt", "want.txt"]
+
+    @pytest.mark.parametrize(
+        "action",
+        [
+            lambda: os.kill(os.getpid(), signal.SIGKILL),
+            raising(SystemExit(143)),  # what perfbench's SIGTERM handler raises
+            raising(RuntimeError("child failed")),
+        ],
+        ids=["killed", "SystemExit", "error"],
+    )
+    def test_failed_child_gives_one_core_bytes(self, tmp_path, monkeypatch, forks, action):
+        ds = random_dataset(600, 4, 21)
+        monkeypatch.setattr(data, "_write_rows", acting_in("child", action))
+        save_dataset(ds, tmp_path / "got.txt")
+        reference_save_dataset(ds, tmp_path / "want.txt")
+        assert len(forks) == 1
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["got.txt", "want.txt"]
+
+    def test_child_that_cannot_open_its_file(self, tmp_path, monkeypatch, forks):
+        ds = random_dataset(600, 4, 22)
+        parent = os.getpid()
+
+        def fake_open(file, *args, **kwargs):
+            if os.getpid() != parent:
+                raise PermissionError(f"cannot open {file}")
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(data, "open", fake_open, raising=False)
+        save_dataset(ds, tmp_path / "got.txt")
+        reference_save_dataset(ds, tmp_path / "want.txt")
+        assert len(forks) == 1
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+    def test_failed_child_gives_one_core_error(self, tmp_path, monkeypatch, forks):
+        # a value of the child's half whose formatting fails in any process
+        ds = random_dataset(3000, 3, 23)
+        bad = float(ds.features[2500, 1])
+
+        def failing_repr(value):
+            if value == bad:
+                raise RuntimeError(f"formatting {value!r} failed")
+            return repr(value)
+
+        monkeypatch.setattr(data, "repr", failing_repr, raising=False)
+        outcomes = []
+        for values in (1, ds.features.size + 1):  # two cores, then one
+            monkeypatch.setattr(data, "_PARALLEL_VALUES", values)
+            path = tmp_path / "ds.txt"
+            path.write_bytes(b"old\n")
+            with pytest.raises(RuntimeError) as caught:
+                save_dataset(ds, path)
+            outcomes.append(str(caught.value))
+            assert path.read_bytes() == b"old\n"
+            assert [p.name for p in tmp_path.iterdir()] == ["ds.txt"]
+        assert outcomes[0] == outcomes[1] == f"formatting {bad!r} failed"
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], 0)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_parent_failing_leaves_no_file_and_no_child(self, tmp_path, monkeypatch, forks, error):
+        ds = random_dataset(4097, 32, 24)
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        old = path.read_bytes()
+        monkeypatch.setattr(data, "_write_rows", acting_in("parent", raising(error("parent failed"))))
+        with pytest.raises(error, match="parent failed"):
+            save_dataset(ds, path)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[-1], 0)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.txt"]
+
+    def test_fork_failing_gives_one_core_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_PARALLEL_VALUES", 1)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+
+        def fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", fork)
+        ds = random_dataset(257, 3, 25)
+        save_dataset(ds, tmp_path / "got.txt")
+        reference_save_dataset(ds, tmp_path / "want.txt")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
+class TestOneCoreWriter:
+    """Where the two-core writer is not chosen, no process is forked."""
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        monkeypatch.setattr(data, "_PARALLEL_VALUES", 1)
+
+        def fork():
+            raise AssertionError("forked")
+
+        if hasattr(os, "fork"):
+            monkeypatch.setattr(os, "fork", fork)
+
+    def check(self, tmp_path, ds):
+        save_dataset(ds, tmp_path / "got.txt")
+        reference_save_dataset(ds, tmp_path / "want.txt")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+    def test_without_fork(self, tmp_path, monkeypatch, no_fork):
+        monkeypatch.delattr(os, "fork", raising=False)
+        self.check(tmp_path, random_dataset(300, 4, 26))
+
+    def test_on_one_cpu(self, tmp_path, monkeypatch, no_fork):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        self.check(tmp_path, random_dataset(300, 4, 27))
+
+    def test_affinity_outranks_cpu_count(self, monkeypatch):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no os.sched_getaffinity")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert data._usable_cpus() == 1
+
+    def test_object_features(self, tmp_path, monkeypatch, no_fork):
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+        ds = random_dataset(300, 4, 28)
+        ds.features = ds.features.astype(object)
+        self.check(tmp_path, ds)
+
+    def test_below_the_size(self, tmp_path, monkeypatch, no_fork):
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(data, "_PARALLEL_VALUES", 1201)
+        self.check(tmp_path, random_dataset(300, 4, 29))
 
 
 class TestRoundTripBitExact:
